@@ -2,7 +2,9 @@
 
 Two stages.  First a threshold sweep grows components edge by edge in
 distance order and stops at the first component touching every cluster; its
-spanning tree T1 has bottleneck no larger than any feasible solution's.
+spanning tree T1 has bottleneck no larger than any feasible solution's.  The
+sweep is a Kruskal prefix of the solve's one minimum spanning tree (dense
+Prim, O(n^2) time), so T1 is a subtree of that MST.
 Second, a select-and-burn walk over rooted T1 keeps one node per cluster,
 and every kept node can reach a kept node closer to the root within three
 hops, giving a tree whose metric bottleneck is at most 3x that of T1.
@@ -19,7 +21,7 @@ from .errors import (
     PartitionError,
 )
 from .metric import ClusterPartition, MetricInstance
-from .trees import Tree, bottleneck, minimum_spanning_tree
+from .trees import Tree, UnionFind, bottleneck, minimum_spanning_tree
 
 SELECTED = "selected"
 BURNED = "burned"
@@ -44,44 +46,37 @@ def _check_pair_clusters(clusters: ClusterPartition) -> None:
 def build_t1(instance: MetricInstance, clusters: ClusterPartition) -> Tree:
     """Smallest-threshold tree touching at least one point of every cluster.
 
-    Candidate edges enter in ascending (distance, u, v) order; the sweep
-    stops the moment one component covers all clusters, and that component's
-    minimum spanning tree is returned (its bottleneck does not exceed the
-    stopping threshold).
+    A threshold sweep in ascending (distance, u, v) order merges components
+    only on minimum spanning tree edges, so it is run as a Kruskal prefix of
+    the one MST over all points: its edges are swept in order and the sweep
+    stops the moment one component covers all clusters.  That component's
+    swept edges, in sweep order, are its own minimum spanning tree, and their
+    bottleneck is the stopping threshold.
     """
     _check_pair_clusters(clusters)
     clusters.check_covers(instance)
-    cluster_of = {p: i for i, g in enumerate(clusters.clusters) for p in g}
     m = len(clusters.clusters)
     if m == 1:
         p = clusters.clusters[0][0]
         return Tree(frozenset({p}), ())
 
-    n = instance.point_count
-    parent = list(range(n))
-    covered: dict[int, set[int]] = {p: {cluster_of[p]} for p in range(n)}
-    members: dict[int, list[int]] = {p: [p] for p in range(n)}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    ranked = sorted(
-        (instance.distance(u, v), u, v) for u in range(n) for v in range(u + 1, n)
-    )
-    for _, u, v in ranked:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        if len(members[ru]) < len(members[rv]):
-            ru, rv = rv, ru
-        parent[rv] = ru
-        members[ru].extend(members.pop(rv))
-        covered[ru] |= covered.pop(rv)
-        if len(covered[ru]) == m:
-            return minimum_spanning_tree(instance, members[ru])
+    mst = minimum_spanning_tree(instance, instance.points())
+    uf = UnionFind(instance.points())
+    covered: dict[int, set[int]] = {
+        p: {i} for i, g in enumerate(clusters.clusters) for p in g
+    }
+    for at, (u, v) in enumerate(mst.edges):
+        root, other = uf.find(u), uf.find(v)
+        uf.union(root, other)
+        merged = covered.pop(other)
+        if len(merged) > len(covered[root]):
+            covered[root], merged = merged, covered[root]
+        covered[root] |= merged
+        if len(covered[root]) == m:
+            swept = mst.edges[: at + 1]
+            edges = tuple(e for e in swept if uf.find(e[0]) == root)
+            nodes = frozenset(p for p in instance.points() if uf.find(p) == root)
+            return Tree(nodes, edges)
     raise AlgorithmInvariantError("no component ever covered all clusters")
 
 

@@ -17,13 +17,28 @@ from dataclasses import dataclass
 from .errors import DomainError, IdentifierError, PartitionError
 
 
+def _finite_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
+    """Rows as float tuples; a NaN or infinite entry is a DomainError.
+
+    A row is checked through its sum, and entry by entry only when the sum
+    is not finite, so huge but finite rows whose sum overflows still pass.
+    """
+    out = tuple(tuple(map(float, row)) for row in rows)
+    for i, row in enumerate(out):
+        if not math.isfinite(sum(row)):
+            for x in row:
+                if not math.isfinite(x):
+                    raise DomainError(f"{what} row {i} holds a non-finite value {x!r}")
+    return out
+
+
 @dataclass(frozen=True)
 class MetricInstance:
     """A finite metric space over points 0..point_count-1.
 
     Exactly one of `coordinates` (Euclidean geometry) or `matrix` (explicit
     distances) is set.  Coincident points are allowed; distances may be any
-    non-negative reals.
+    non-negative reals.  Every coordinate and matrix entry must be finite.
     """
 
     coordinates: tuple[tuple[float, ...], ...] | None = None
@@ -33,7 +48,7 @@ class MetricInstance:
         if (self.coordinates is None) == (self.matrix is None):
             raise DomainError("exactly one of coordinates or matrix must be given")
         if self.coordinates is not None:
-            coords = tuple(tuple(float(x) for x in row) for row in self.coordinates)
+            coords = _finite_rows(self.coordinates, "coordinate")
             if not coords:
                 raise DomainError("an instance needs at least one point")
             dim = len(coords[0])
@@ -42,7 +57,7 @@ class MetricInstance:
             object.__setattr__(self, "coordinates", coords)
         else:
             assert self.matrix is not None
-            rows = tuple(tuple(float(x) for x in row) for row in self.matrix)
+            rows = _finite_rows(self.matrix, "distance")
             if not rows:
                 raise DomainError("an instance needs at least one point")
             if any(len(row) != len(rows) for row in rows):
@@ -51,11 +66,11 @@ class MetricInstance:
 
     @classmethod
     def from_coordinates(cls, coordinates) -> "MetricInstance":
-        return cls(coordinates=tuple(tuple(row) for row in coordinates))
+        return cls(coordinates=coordinates)
 
     @classmethod
     def from_matrix(cls, matrix) -> "MetricInstance":
-        return cls(matrix=tuple(tuple(row) for row in matrix))
+        return cls(matrix=matrix)
 
     @property
     def point_count(self) -> int:
@@ -131,6 +146,15 @@ def validate_metric(instance: MetricInstance) -> MetricValidation:
     return MetricValidation(tuple(violations))
 
 
+def _point_ids(group, what: str) -> tuple[int, ...]:
+    """The group's ids in ascending order; each must be an int, not a bool."""
+    ids = tuple(group)
+    for p in ids:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise DomainError(f"{what} point id {p!r} is not an integer")
+    return tuple(sorted(ids))
+
+
 def _check_disjoint_groups(groups, what: str) -> None:
     seen: set[int] = set()
     for group in groups:
@@ -150,7 +174,7 @@ class TuplePartition:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise PartitionError("tuple size k must be at least 2")
-        groups = tuple(tuple(sorted(int(p) for p in g)) for g in self.tuples)
+        groups = tuple(_point_ids(g, "tuple") for g in self.tuples)
         if not groups:
             raise PartitionError("at least one tuple is required")
         if any(len(g) != self.k for g in groups):
@@ -183,7 +207,7 @@ class ClusterPartition:
     def __post_init__(self) -> None:
         if self.k < 2:
             raise PartitionError("maximum cluster size k must be at least 2")
-        groups = tuple(tuple(sorted(int(p) for p in g)) for g in self.clusters)
+        groups = tuple(_point_ids(g, "cluster") for g in self.clusters)
         if not groups:
             raise PartitionError("at least one cluster is required")
         if any(not 1 <= len(g) <= self.k for g in groups):

@@ -3,8 +3,9 @@
 The partitioning routines at the heart of this module carve a given tree
 into k disjoint trees of exactly n nodes whose edges span at most 2 hops in
 the source tree for k in {2, 3} and at most 3 hops for k >= 4 (both bounds
-are tight).  The metric solver runs them on a minimum spanning tree, first
-recursing into longest-edge splits whose sides happen to be multiples of n.
+are tight).  The metric solver runs them on the one minimum spanning tree it
+builds per solve, first recursing into longest-edge splits whose sides happen
+to be multiples of n; each side of such a split is the MST of its own points.
 """
 
 from __future__ import annotations
@@ -393,16 +394,21 @@ class PbstResult:
     mst_bottleneck: float
 
 
-def _solve_subset(instance: MetricInstance, points: list[int], k: int, n: int) -> list[Tree]:
-    mst = minimum_spanning_tree(instance, points)
+def _solve_subset(instance: MetricInstance, mst: Tree, k: int, n: int) -> list[Tree]:
+    """k trees of n points each from `mst`, the MST of its own nodes.
+
+    Removing an MST edge leaves two trees that are each the MST of their own
+    points (with edges still in (distance, u, v) order), so the recursion
+    splits the tree it was given instead of spanning the sides again.
+    """
     if k == 1:
         return [mst]
     e, _ = longest_edge(mst, instance)
     side_u, side_v = split_tree_at_edge(mst, e)
     cu, cv = len(side_u.nodes), len(side_v.nodes)
     if cu % n == 0 and cv % n == 0:
-        return _solve_subset(instance, sorted(side_u.nodes), cu // n, n) + _solve_subset(
-            instance, sorted(side_v.nodes), cv // n, n
+        return _solve_subset(instance, side_u, cu // n, n) + _solve_subset(
+            instance, side_v, cv // n, n
         )
     return list(balanced_partition(_leaf_rooted(mst), k).trees)
 
@@ -427,7 +433,7 @@ def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
         )
     mst = minimum_spanning_tree(instance, instance.points())
     _, mst_bot = longest_edge(mst, instance)
-    trees = _solve_subset(instance, sorted(instance.points()), k, n)
+    trees = _solve_subset(instance, mst, k, n)
     forest = Forest(tuple(trees))
     return PbstResult(
         forest=forest,

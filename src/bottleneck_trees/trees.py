@@ -4,12 +4,19 @@ Provides minimum spanning trees with a deterministic edge tie-break (which
 makes them bottleneck-optimal as well), the hop metric of a tree, and
 Hamiltonian paths/cycles in the cube of a tree (consecutive nodes at most
 three tree edges apart).
+
+The MST is a dense Prim kernel (O(n^2) time, O(n) extra memory) with the
+(distance, u, v) tie-break; each solver builds one per solve and derives
+everything else from its edges.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
+from operator import le
 
 from .errors import DomainError, IdentifierError
 from .metric import MetricInstance
@@ -187,8 +194,13 @@ class Forest:
 def minimum_spanning_tree(instance: MetricInstance, subset) -> Tree:
     """Minimum spanning tree of the complete metric graph on `subset`.
 
-    Edges are considered in ascending (distance, u, v) order, which makes the
-    result deterministic and simultaneously weight- and bottleneck-optimal.
+    Dense Prim over the sorted subset: O(n^2) time, O(n) extra memory, one
+    distance row per added node (`math.dist` on coordinates, or the matrix
+    row, which is assumed symmetric).  Candidates compare on the strict total
+    order (distance, u, v) with u < v, so the tree is unique and equals the
+    Kruskal tree of that order; its edges are returned in that order too,
+    which makes the result deterministic and both weight- and
+    bottleneck-optimal.
     """
     points = sorted(set(subset))
     if not points:
@@ -197,19 +209,49 @@ def minimum_spanning_tree(instance: MetricInstance, subset) -> Tree:
         instance._check_id(p)
     if len(points) == 1:
         return Tree(frozenset(points), ())
-    ranked = sorted(
-        (instance.distance(u, v), u, v)
-        for i, u in enumerate(points)
-        for v in points[i + 1 :]
-    )
-    uf = UnionFind(points)
-    chosen: list[tuple[int, int]] = []
-    for _, u, v in ranked:
-        if uf.union(u, v):
-            chosen.append((u, v))
-            if len(chosen) == len(points) - 1:
-                break
-    return Tree(frozenset(points), tuple(chosen))
+    # rest[i] is outside the tree; its cheapest link into the tree is
+    # (best[i], via[i]), and targets[i] is what its distances are read from.
+    rest = points[1:]
+    if instance.coordinates is not None:
+        coords = instance.coordinates
+        targets = [coords[p] for p in rest]
+
+        def row(x: int) -> list[float]:
+            return list(map(math.dist, repeat(coords[x]), targets))
+
+    else:
+        assert instance.matrix is not None
+        matrix = instance.matrix
+        targets = rest[:]
+
+        def row(x: int) -> list[float]:
+            return list(map(matrix[x].__getitem__, targets))
+
+    best = row(points[0])
+    via = [points[0]] * len(rest)
+    chosen: list[tuple[float, int, int]] = []
+    while True:
+        d = min(best)
+        i = best.index(d)
+        if best.count(d) > 1:
+            i = min(
+                (j for j in range(i, len(best)) if best[j] == d),
+                key=lambda j: _normalize_edge(via[j], rest[j]),
+            )
+        y = rest.pop(i)
+        chosen.append((d, *_normalize_edge(via.pop(i), y)))
+        del best[i]
+        del targets[i]
+        if not rest:
+            break
+        new = row(y)
+        for j in compress(range(len(rest)), map(le, new, best)):
+            nd = new[j]
+            if nd < best[j] or _normalize_edge(y, rest[j]) < _normalize_edge(via[j], rest[j]):
+                best[j] = nd
+                via[j] = y
+    chosen.sort()
+    return Tree(frozenset(points), tuple((u, v) for _, u, v in chosen))
 
 
 def longest_edge(tree: Tree, instance: MetricInstance) -> tuple[tuple[int, int], float]:

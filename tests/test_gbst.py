@@ -76,6 +76,67 @@ def test_build_t1_never_exceeds_optimum():
             assert t1.nodes & set(g)
 
 
+def _threshold_sweep_reference(inst, clusters):
+    """Full threshold sweep over all pairs in (distance, u, v) order.
+
+    Returns the node set and the merging edges of the first component that
+    covers every cluster, in sweep order.
+    """
+    n = inst.point_count
+    ranked = sorted((inst.distance(u, v), u, v) for u in range(n) for v in range(u + 1, n))
+    cluster_of = {p: i for i, g in enumerate(clusters.clusters) for p in g}
+    comp = {p: frozenset({p}) for p in range(n)}
+    merges = []
+    for _, u, v in ranked:
+        if comp[u] is comp[v]:
+            continue
+        joined = comp[u] | comp[v]
+        for p in joined:
+            comp[p] = joined
+        merges.append((u, v))
+        if len({cluster_of[p] for p in joined}) == len(clusters.clusters):
+            return joined, tuple(e for e in merges if e[0] in joined)
+    raise AssertionError("no component covered every cluster")
+
+
+def test_build_t1_matches_full_threshold_sweep():
+    rng = random.Random(29)
+    for trial in range(90):
+        n = rng.randint(2, 30)
+        if trial % 3 == 0:
+            inst = euclidean_instance(2, n, rng)
+        elif trial % 3 == 1:
+            inst = random_metric_instance(n, rng)
+        else:
+            inst = MetricInstance.from_coordinates(
+                [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
+            )
+        clusters = _random_even_clusters(n, rng)
+        if len(clusters.clusters) == 1:
+            continue
+        nodes, edges = _threshold_sweep_reference(inst, clusters)
+        t1 = build_t1(inst, clusters)
+        assert t1.nodes == nodes
+        assert t1.edges == edges
+        assert t1.edges == minimum_spanning_tree(inst, nodes).edges
+
+
+def test_solve_builds_one_mst(monkeypatch):
+    import bottleneck_trees.gbst as gbst
+
+    calls = []
+
+    def counted(instance, subset):
+        calls.append(subset)
+        return minimum_spanning_tree(instance, subset)
+
+    monkeypatch.setattr(gbst, "minimum_spanning_tree", counted)
+    rng = random.Random(4)
+    inst = euclidean_instance(2, 40, rng)
+    solve_2gbst(inst, _random_even_clusters(40, rng))
+    assert len(calls) == 1
+
+
 def test_build_t1_rejects_oversized_clusters():
     inst = MetricInstance.from_coordinates([(0.0,), (1.0,), (2.0,)])
     with pytest.raises(PartitionError):

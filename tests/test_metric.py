@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -80,6 +81,68 @@ def test_random_metric_generator_is_metric(n, seed):
             assert inst.distance(u, v) >= 0.0
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_coordinates_rejected(bad):
+    with pytest.raises(DomainError):
+        MetricInstance.from_coordinates([(0.0, 0.0), (bad, 1.0)])
+    with pytest.raises(DomainError):
+        MetricInstance(coordinates=((bad,),))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_non_finite_matrix_rejected(bad):
+    with pytest.raises(DomainError):
+        MetricInstance.from_matrix([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(DomainError):
+        MetricInstance.from_matrix([[0.0, 1.0], [1.0, bad]])
+
+
+def test_opposite_infinities_rejected():
+    # inf + -inf sums to nan; the row is still rejected, not accepted
+    with pytest.raises(DomainError):
+        MetricInstance.from_coordinates([(math.inf, -math.inf)])
+
+
+def test_huge_finite_rows_accepted():
+    # the row sums overflow to inf, but every entry is finite
+    big = 1e308
+    inst = MetricInstance.from_coordinates([(big, big), (-big, big)])
+    assert inst.coordinates == ((big, big), (-big, big))
+    MetricInstance.from_matrix([[0.0, big, big], [big, 0.0, big], [big, big, 0.0]])
+
+
+def test_rows_are_float_tuples():
+    inst = MetricInstance.from_matrix([[0, 1], [1, 0]])
+    assert inst.matrix == ((0.0, 1.0), (1.0, 0.0))
+    assert all(type(x) is float for row in inst.matrix for x in row)
+    inst = MetricInstance.from_coordinates(iter([[1, 2], [3, 4]]))
+    assert inst.coordinates == ((1.0, 2.0), (3.0, 4.0))
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        {"coordinates": [[0.0, 0.0], [float("nan"), 1.0]]},
+        {"coordinates": [[0.0], [float("inf")]]},
+        {"matrix": [[0.0, float("inf")], [float("inf"), 0.0]]},
+        {"matrix": [[0.0, float("nan")], [float("nan"), 0.0]]},
+    ],
+)
+def test_instance_document_rejects_non_finite(points):
+    with pytest.raises(DomainError):
+        parse_instance_document({"points": points})
+
+
+def test_instance_document_rejects_non_finite_from_json_text():
+    # Python's json module reads NaN and Infinity literals
+    text = '{"points": {"coordinates": [[0.0], [NaN]]}}'
+    with pytest.raises(DomainError):
+        parse_instance_document(json.loads(text))
+
+
 def test_tuple_partition_validation():
     TuplePartition(k=2, tuples=((0, 1), (2, 3)))
     with pytest.raises(PartitionError):
@@ -90,6 +153,9 @@ def test_tuple_partition_validation():
         TuplePartition(k=3, tuples=((0, 1), (2, 3)))  # wrong group size
     with pytest.raises(PartitionError):
         TuplePartition(k=1, tuples=((0,),))
+    for bad in (True, False, "1", 1.0, None):
+        with pytest.raises(DomainError):
+            TuplePartition(k=2, tuples=((0, bad), (2, 3)))
 
 
 def test_cluster_partition_validation():
@@ -99,6 +165,18 @@ def test_cluster_partition_validation():
         ClusterPartition(k=2, clusters=((0, 1, 2),))
     with pytest.raises(PartitionError):
         ClusterPartition(k=2, clusters=((0,), (0, 1)))
+    for bad in (True, False, "1", 1.0, None):
+        with pytest.raises(DomainError):
+            ClusterPartition(k=2, clusters=((0,), (bad,)))
+
+
+@pytest.mark.parametrize("bad", [True, "1", 1.0])
+def test_instance_document_rejects_non_integer_ids(bad):
+    points = {"coordinates": [[0.0], [1.0], [2.0], [3.0]]}
+    with pytest.raises(DomainError):
+        parse_instance_document({"points": points, "tuples": [[0, bad], [2, 3]], "k": 2})
+    with pytest.raises(DomainError):
+        parse_instance_document({"points": points, "clusters": [[0, bad], [2, 3]]})
 
 
 def test_instance_document_roundtrip():

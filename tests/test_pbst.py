@@ -12,11 +12,13 @@ from bottleneck_trees import (
     bottleneck,
     exact_pbst,
     hop_distance,
+    longest_edge,
     minimum_spanning_tree,
     partition_many,
     partition_three,
     partition_two,
     solve_pbst,
+    split_tree_at_edge,
 )
 from bottleneck_trees.generators import (
     euclidean_instance,
@@ -205,6 +207,45 @@ def test_solve_far_groups_recurses():
     assert groups == {frozenset({0, 1, 2}), frozenset({3, 4, 5})}
     _, optimal = exact_pbst(inst, 2)
     assert result.bottleneck <= 2 * optimal + 1e-9
+
+
+def test_split_sides_are_msts_of_their_points():
+    # PBST recurses on the two sides of a longest MST edge without
+    # spanning them again; that relies on each side being its own MST.
+    rng = random.Random(13)
+    for trial in range(90):
+        n = rng.randint(2, 40)
+        if trial % 3 == 0:
+            inst = euclidean_instance(2, n, rng)
+        elif trial % 3 == 1:
+            inst = random_metric_instance(n, rng)
+        else:
+            inst = MetricInstance.from_coordinates(
+                [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
+            )
+        mst = minimum_spanning_tree(inst, range(n))
+        e, _ = longest_edge(mst, inst)
+        for side in split_tree_at_edge(mst, e):
+            assert side.edges == minimum_spanning_tree(inst, side.nodes).edges
+
+
+def test_solve_builds_one_mst_while_recursing(monkeypatch):
+    import bottleneck_trees.pbst as pbst
+
+    calls = []
+
+    def counted(instance, subset):
+        calls.append(subset)
+        return minimum_spanning_tree(instance, subset)
+
+    monkeypatch.setattr(pbst, "minimum_spanning_tree", counted)
+    # three far-apart groups of three: the solver splits twice
+    coords = [(x + 0.1 * i,) for x in (0.0, 100.0, 250.0) for i in range(3)]
+    inst = MetricInstance.from_coordinates(coords)
+    result = solve_pbst(inst, 3)
+    assert len(calls) == 1
+    groups = {frozenset(t.nodes) for t in result.forest.trees}
+    assert groups == {frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8})}
 
 
 def test_solve_collinear_six():

@@ -20,6 +20,7 @@ from bottleneck_trees import (
     split_tree_at_edge,
 )
 from bottleneck_trees.generators import (
+    euclidean_instance,
     random_metric_instance,
     random_tree,
     spider_tree,
@@ -121,6 +122,57 @@ def test_mst_is_weight_and_bottleneck_optimal(seed):
     assert bottleneck(mst, inst) == pytest.approx(best_bottleneck, abs=1e-12)
     total = sum(inst.distance(u, v) for u, v in mst.edges)
     assert total == pytest.approx(best_weight, abs=1e-12)
+
+
+def _kruskal_reference(inst, subset):
+    """All-pairs Kruskal in (distance, u, v) order: the edges, in that order."""
+    points = sorted(set(subset))
+    ranked = sorted((inst.distance(u, v), u, v) for u, v in combinations(points, 2))
+    parent = {p: p for p in points}
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    chosen = []
+    for _, u, v in ranked:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[rv] = ru
+            chosen.append((u, v))
+    return tuple(chosen)
+
+
+def _seeded_instance(kind, n, rng):
+    if kind == "euclidean":
+        return euclidean_instance(rng.randint(1, 3), n, rng)
+    if kind == "random-metric":
+        return random_metric_instance(n, rng)
+    # small integer grid: many exactly equal distances
+    return MetricInstance.from_coordinates(
+        [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
+    )
+
+
+@pytest.mark.parametrize("kind", ["euclidean", "random-metric", "integer-grid"])
+def test_mst_matches_all_pairs_kruskal(kind):
+    rng = random.Random(kind)
+    for _ in range(40):
+        n = rng.randint(1, 30)
+        inst = _seeded_instance(kind, n, rng)
+        subsets = [range(n), rng.sample(range(n), rng.randint(1, n)), [rng.randrange(n)]]
+        for subset in subsets:
+            mst = minimum_spanning_tree(inst, subset)
+            assert mst.nodes == frozenset(subset)
+            assert mst.edges == _kruskal_reference(inst, subset)
+
+
+def test_mst_ties_break_by_edge_order():
+    # unit square: four sides of length 1, so only the (u, v) order decides
+    inst = MetricInstance.from_coordinates([(0, 0), (0, 1), (1, 0), (1, 1)])
+    assert minimum_spanning_tree(inst, range(4)).edges == ((0, 1), (0, 2), (1, 3))
+    assert minimum_spanning_tree(inst, [3, 2, 1]).edges == ((1, 3), (2, 3))
 
 
 def test_longest_edge_unique_max():
