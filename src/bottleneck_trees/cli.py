@@ -140,6 +140,12 @@ def _require(condition: bool, message: str) -> None:
         raise BottleneckTreeError(message)
 
 
+def _field(mapping, key: str, owner: str):
+    """mapping[key], or a BottleneckTreeError naming what `owner` lacks."""
+    _require(isinstance(mapping, dict) and key in mapping, f"{owner} needs a {key!r} field")
+    return mapping[key]
+
+
 def _cmd_dbst(args) -> int:
     doc = _load_document(args.input)
     _require(doc.tuples is not None, "dbst needs an instance file with 'tuples'")
@@ -193,11 +199,14 @@ def _cmd_oracle(args) -> int:
             "trees": [tree_to_dict(t) for t in forest.trees],
         }
     else:
-        subset = (
-            [int(x) for x in args.subset.split(",")]
-            if args.subset
-            else list(doc.instance.points())
-        )
+        subset = list(doc.instance.points())
+        if args.subset:
+            try:
+                subset = [int(x) for x in args.subset.split(",")]
+            except ValueError:
+                raise BottleneckTreeError(
+                    f"--subset must be comma-separated point ids, got {args.subset!r}"
+                ) from None
         tour, optimal = exact_bottleneck_tour(doc.instance, subset)
         out = {"problem": "tour", "optimal": optimal, "tour": list(tour)}
     _write_output(_dumps(out), args.output)
@@ -205,10 +214,10 @@ def _cmd_oracle(args) -> int:
 
 
 def _batch_record(job: dict, seed: int) -> dict:
-    problem = job["problem"]
-    gen_spec = dict(job.get("generator", {}))
-    kind = gen_spec.pop("kind")
-    gen = generate(kind, gen_spec, seed)
+    problem = _field(job, "problem", "a batch job")
+    generator = _field(job, "generator", "a batch job")
+    kind = _field(generator, "kind", "a batch job's generator")
+    gen = generate(kind, generator, seed)
     doc = _generated_to_document(gen)
     exact = bool(job.get("exact", False))
     started = time.perf_counter()
@@ -225,7 +234,11 @@ def _batch_record(job: dict, seed: int) -> dict:
         k = 2
         optimal = exact_gbst(doc.instance, doc.clusters)[1] if exact else None
     elif problem == "pbst":
-        k = int(job["k"])
+        k = _field(job, "k", "a pbst batch job")
+        _require(
+            isinstance(k, int) and not isinstance(k, bool),
+            f"a pbst batch job's 'k' must be an integer, got {k!r}",
+        )
         achieved = solve_pbst(doc.instance, k).bottleneck
         optimal = exact_pbst(doc.instance, k)[1] if exact else None
     else:
@@ -260,10 +273,11 @@ BATCH_COLUMNS = [
 def _cmd_batch(args) -> int:
     with open(args.config, "r", encoding="utf-8") as handle:
         config = json.load(handle)
+    jobs = _field(config, "jobs", "a batch config")
+    _require(isinstance(jobs, list), "a batch config's 'jobs' must be a list")
     seeds = config.get("seeds", 10)
     if isinstance(seeds, int):
         seeds = list(range(seeds))
-    jobs = config["jobs"]
     records = [_batch_record(job, seed) for job in jobs for seed in seeds]
     records.sort(key=lambda r: (r["generator"], r["problem"], r["k"], r["n"], r["seed"]))
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8", newline="")

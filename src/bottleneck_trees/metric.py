@@ -146,12 +146,17 @@ def validate_metric(instance: MetricInstance) -> MetricValidation:
     return MetricValidation(tuple(violations))
 
 
+def _check_int_ids(ids, what: str) -> None:
+    """Each id must be an int, not a bool (True would silently stand for 1)."""
+    for p in ids:
+        if not isinstance(p, int) or isinstance(p, bool):
+            raise DomainError(f"{what} id {p!r} is not an integer")
+
+
 def _point_ids(group, what: str) -> tuple[int, ...]:
     """The group's ids in ascending order; each must be an int, not a bool."""
     ids = tuple(group)
-    for p in ids:
-        if not isinstance(p, int) or isinstance(p, bool):
-            raise DomainError(f"{what} point id {p!r} is not an integer")
+    _check_int_ids(ids, f"{what} point")
     return tuple(sorted(ids))
 
 

@@ -3,7 +3,9 @@
 Provides minimum spanning trees with a deterministic edge tie-break (which
 makes them bottleneck-optimal as well), the hop metric of a tree, and
 Hamiltonian paths/cycles in the cube of a tree (consecutive nodes at most
-three tree edges apart).
+three tree edges apart).  The cube of a tree has a Hamiltonian path between
+any two nodes (Sekanina 1960); one linear traversal along the tree path
+between the two ends builds every such path and cycle here.
 
 The MST is a dense Prim kernel (O(n^2) time, O(n) extra memory) with the
 (distance, u, v) tie-break; each solver builds one per solve and derives
@@ -19,7 +21,7 @@ from itertools import compress, repeat
 from operator import le
 
 from .errors import DomainError, IdentifierError
-from .metric import MetricInstance
+from .metric import MetricInstance, _check_int_ids
 
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
@@ -62,8 +64,11 @@ class Tree:
     root: int | None = None
 
     def __post_init__(self) -> None:
-        nodes = frozenset(int(x) for x in self.nodes)
-        edges = tuple(_normalize_edge(int(u), int(v)) for u, v in self.edges)
+        nodes = frozenset(self.nodes)
+        edges = tuple(self.edges)
+        _check_int_ids(nodes, "tree node")
+        _check_int_ids((x for e in edges for x in e), "tree edge endpoint")
+        edges = tuple(_normalize_edge(u, v) for u, v in edges)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "edges", edges)
         if not nodes:
@@ -78,8 +83,10 @@ class Tree:
                 raise DomainError(f"edge ({u}, {v}) has an endpoint outside the node set")
             if not uf.union(u, v):
                 raise DomainError(f"edges contain a cycle (adding ({u}, {v}))")
-        if self.root is not None and self.root not in nodes:
-            raise DomainError(f"root {self.root} is not a node of the tree")
+        if self.root is not None:
+            _check_int_ids((self.root,), "tree root")
+            if self.root not in nodes:
+                raise DomainError(f"root {self.root} is not a node of the tree")
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -319,19 +326,23 @@ def split_tree_at_edge(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree]:
     return Tree(frozenset(side_u), edges_u), Tree(frozenset(side_v), edges_v)
 
 
-def _consume_neighbors(tree: Tree):
-    """Adjacency with one-shot consumption in ascending id order.
+def _cube_order(tree: Tree, spine: list[int]) -> list[int]:
+    """All nodes from spine[0] to spine[-1], consecutive ones <= 3 hops apart.
 
-    `delete(u, v)` removes the edge; `next_of(x)` returns x's smallest
-    not-yet-deleted neighbor or None.  Each neighbor list is scanned with a
-    monotone pointer, so total work is linear in the edge count.
+    `spine` is the tree path between the two ends.  Each spine node but the
+    last two is emitted, then each of its side branches in ascending head
+    order; a branch is walked from its head along the edge to the head's
+    smallest other neighbor, and the last spine edge is walked the same way.
     """
-    adj = {x: list(nbrs) for x, nbrs in tree.adjacency.items()}
-    ptr = {x: 0 for x in tree.nodes}
-    deleted: set[tuple[int, int]] = set()
-
-    def delete(u: int, v: int) -> None:
-        deleted.add(_normalize_edge(u, v))
+    # Edges are deleted as they are walked, and each neighbor list is scanned
+    # once through a monotone pointer, so the work is linear in the edges.
+    adj = tree.adjacency
+    ptr = dict.fromkeys(adj, 0)
+    deleted = {_normalize_edge(x, y) for x, y in zip(spine, spine[1:])}
+    out: list[int] = []
+    # A node on the stack is emitted; (a, b, rev) deletes edge (a, b) and
+    # emits its component from a to b, or from b to a when rev is True.
+    stack: list = []
 
     def next_of(x: int) -> int | None:
         lst = adj[x]
@@ -341,112 +352,68 @@ def _consume_neighbors(tree: Tree):
         ptr[x] = i
         return lst[i] if i < len(lst) else None
 
-    return delete, next_of
+    def push(x: int, rev: bool) -> None:
+        nxt = next_of(x)
+        stack.append(x if nxt is None else (x, nxt, rev))
+
+    def drain() -> None:
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, tuple):
+                out.append(item)
+                continue
+            a, b, rev = item
+            deleted.add(_normalize_edge(a, b))
+            first, second = (b, a) if rev else (a, b)
+            push(second, True)
+            push(first, False)
+
+    for s in spine[:-2]:
+        out.append(s)
+        head = next_of(s)
+        while head is not None:
+            deleted.add(_normalize_edge(s, head))
+            push(head, False)
+            drain()
+            head = next_of(s)
+    stack.append((spine[-2], spine[-1], False))
+    drain()
+    return out
 
 
 def cube_hamiltonian_path(tree: Tree, u: int, v: int) -> list[int]:
     """Order all nodes from u to v with consecutive hop distances <= 3.
 
-    (u, v) must be an edge of the tree.  Removing it splits the tree into the
-    side of u and the side of v; each side is traversed recursively between
-    its anchor and the anchor's smallest remaining neighbor, and the two
-    traversals are joined across the removed edge.  The recursion is run on
-    an explicit stack so arbitrarily deep trees are fine.
+    (u, v) must be an edge of the tree.
     """
     if _normalize_edge(u, v) not in tree.edge_set:
         raise DomainError(f"({u}, {v}) is not an edge of the tree")
-    delete, next_of = _consume_neighbors(tree)
-    out: list[int] = []
-    # Work item: ("path", a, b, rev) emits the component containing edge
-    # (a, b), from a to b when rev is False and from b to a when rev is True.
-    stack: list[tuple] = [("path", u, v, False)]
-    while stack:
-        item = stack.pop()
-        if item[0] == "emit":
-            out.append(item[1])
-            continue
-        _, a, b, rev = item
-        delete(a, b)
-        first, second = (a, b) if not rev else (b, a)
-        nxt_second = next_of(second)
-        if nxt_second is None:
-            stack.append(("emit", second))
-        else:
-            stack.append(("path", second, nxt_second, True))
-        nxt_first = next_of(first)
-        if nxt_first is None:
-            stack.append(("emit", first))
-        else:
-            stack.append(("path", first, nxt_first, False))
-    return out
+    return _cube_order(tree, [u, v])
 
 
 def cube_hamiltonian_path_between(tree: Tree, a: int, b: int) -> list[int]:
     """Order all nodes from a to b (any two distinct nodes), hops <= 3.
 
-    Peels a off the tree: a's side branches are each traversed from their
-    attachment point, then the construction recurses into the component
-    containing b.  On a path-shaped tree with a and b as its two ends this
-    returns the path itself.
+    Such a path exists in the cube of every tree (Sekanina 1960).  On a
+    path-shaped tree with a and b as its two ends this is the path itself.
     """
     if a not in tree.nodes or b not in tree.nodes:
         raise IdentifierError("both endpoints must be nodes of the tree")
     if a == b:
         raise DomainError("endpoints must be distinct")
-    parent, _, _ = tree.rooted_at(a)._rooting
-
-    out: list[int] = []
-    remaining = tree
-    start = a
-    while True:
-        if _normalize_edge(start, b) in remaining.edge_set:
-            out.extend(cube_hamiltonian_path(remaining, start, b))
-            return out
-        # Next hop from `start` toward b inside the remaining component.
-        toward = b
-        while parent[toward] != start:
-            toward = parent[toward]  # type: ignore[assignment]
-        out.append(start)
-        branch_heads = [w for w in remaining.adjacency[start] if w != toward]
-        comp_of: dict[int, list[int]] = {}
-        if branch_heads:
-            comp_edges: dict[int, list[tuple[int, int]]] = {h: [] for h in branch_heads}
-            for h in branch_heads:
-                comp = [h]
-                seen = {start, h}
-                stack = [h]
-                while stack:
-                    x = stack.pop()
-                    for w in remaining.adjacency[x]:
-                        if w not in seen:
-                            seen.add(w)
-                            comp.append(w)
-                            stack.append(w)
-                            comp_edges[h].append((x, w))
-                comp_of[h] = comp
-            for h in branch_heads:
-                comp = comp_of[h]
-                if len(comp) == 1:
-                    out.append(h)
-                    continue
-                branch = Tree(frozenset(comp), tuple(comp_edges[h]))
-                tail = min(branch.adjacency[h])
-                out.extend(cube_hamiltonian_path(branch, h, tail))
-        # Recurse into the component of b.
-        comp = [toward]
-        seen = {start, toward}
-        edges: list[tuple[int, int]] = []
-        stack = [toward]
-        while stack:
-            x = stack.pop()
-            for w in remaining.adjacency[x]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.append(w)
-                    stack.append(w)
-                    edges.append((x, w))
-        remaining = Tree(frozenset(comp), tuple(edges))
-        start = toward
+    parent = {a: a}
+    stack = [a]
+    while b not in parent:
+        x = stack.pop()
+        for w in tree.adjacency[x]:
+            if w not in parent:
+                parent[w] = x
+                stack.append(w)
+    spine = [b]
+    while spine[-1] != a:
+        spine.append(parent[spine[-1]])
+    spine.reverse()
+    return _cube_order(tree, spine)
 
 
 def cube_hamiltonian_cycle(tree: Tree) -> list[int]:
@@ -470,8 +437,13 @@ def tree_to_dict(tree: Tree) -> dict:
 
 
 def tree_from_dict(doc: dict) -> Tree:
-    return Tree(
-        frozenset(doc["nodes"]),
-        tuple((u, v) for u, v in doc["edges"]),
-        root=doc.get("root"),
-    )
+    """Inverse of tree_to_dict; a malformed document raises DomainError."""
+    if not isinstance(doc, dict):
+        raise DomainError("a tree document must be an object")
+    nodes, edges = doc.get("nodes"), doc.get("edges")
+    if not isinstance(nodes, list) or not isinstance(edges, list):
+        raise DomainError("a tree document needs 'nodes' and 'edges' lists")
+    _check_int_ids(nodes, "tree node")
+    if not all(isinstance(e, list) and len(e) == 2 for e in edges):
+        raise DomainError("tree edges must be [u, v] pairs")
+    return Tree(frozenset(nodes), tuple((u, v) for u, v in edges), root=doc.get("root"))

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from bottleneck_trees.cli import main
 
 
@@ -59,6 +61,14 @@ def test_oracle_tour(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert sorted(doc["tour"]) == [0, 1, 2, 3]
+
+
+def test_oracle_tour_bad_subset_exits_two(tmp_path, capsys):
+    inst = tmp_path / "inst.json"
+    assert main(["gen", "--kind", "euclidean", "--n", "6", "--seed", "4", "-o", str(inst)]) == 0
+    code, _, err = _run(capsys, "oracle", "tour", "--input", str(inst), "--subset", "0,x")
+    assert code == 2
+    assert "--subset" in err
 
 
 def test_fixture_generators(tmp_path, capsys):
@@ -125,3 +135,30 @@ def test_batch_csv(tmp_path):
         assert 1 - 1e-9 <= ratio <= bounds[row["problem"]] + 1e-9
     keys = [(r["generator"], r["problem"], r["k"], r["n"], int(r["seed"])) for r in rows]
     assert keys == sorted(keys)
+
+
+_GEN = {"kind": "euclidean", "n": 6, "dim": 2}
+
+
+@pytest.mark.parametrize(
+    "config, named",
+    [
+        ({"seeds": 1}, "'jobs'"),
+        ({"seeds": 1, "jobs": {"problem": "pbst"}}, "'jobs'"),
+        ({"seeds": 1, "jobs": [{"k": 2, "generator": _GEN}]}, "'problem'"),
+        ({"seeds": 1, "jobs": [{"problem": "pbst", "k": 2}]}, "'generator'"),
+        ({"seeds": 1, "jobs": [{"problem": "pbst", "generator": _GEN}]}, "'k'"),
+        ({"seeds": 1, "jobs": [{"problem": "pbst", "k": 2, "generator": {"n": 6}}]}, "'kind'"),
+        ({"seeds": 1, "jobs": [{"problem": "pbst", "k": "two", "generator": _GEN}]}, "'k'"),
+        ({"seeds": 1, "jobs": [{"problem": "pbst", "k": 2.5, "generator": _GEN}]}, "'k'"),
+        ({"seeds": 1, "jobs": [{"problem": "pbst", "k": True, "generator": _GEN}]}, "'k'"),
+    ],
+    ids=["no-jobs", "jobs-not-list", "no-problem", "no-generator", "no-k",
+         "no-kind", "k-string", "k-float", "k-bool"],
+)
+def test_malformed_batch_config_exits_two(tmp_path, capsys, config, named):
+    path = tmp_path / "batch.json"
+    path.write_text(json.dumps(config))
+    code, _, err = _run(capsys, "batch", "--config", str(path))
+    assert code == 2
+    assert err.startswith("error:") and named in err

@@ -285,6 +285,12 @@ def test_cube_path_between_is_identity_on_paths():
     n = 50
     t = Tree(frozenset(range(n)), tuple((i, i + 1) for i in range(n - 1)))
     assert cube_hamiltonian_path_between(t, 0, n - 1) == list(range(n))
+    # Shuffled labels, so neighbor id order and path order disagree.
+    rng = random.Random(7)
+    for n in (2, 3, 1000, 20_000):
+        order = rng.sample(range(n), n)
+        t = Tree(frozenset(order), tuple(zip(order, order[1:])))
+        assert cube_hamiltonian_path_between(t, order[0], order[-1]) == order
 
 
 def _check_cycle(tree, cycle):
@@ -348,3 +354,39 @@ def test_metric_path_bound(tree, rnd, seed):
 def test_tree_serialization_roundtrip():
     t = Tree(frozenset({0, 1, 2}), ((0, 1), (1, 2)), root=0)
     assert tree_from_dict(tree_to_dict(t)) == t
+
+
+@pytest.mark.parametrize(
+    "nodes, edges, root",
+    [
+        ({0, 1.5, 2}, ((0, 1.5), (1.5, 2)), None),
+        ({0, True}, ((0, True),), None),
+        ({0, 1}, ((0, 1.0),), None),
+        ({0, 1}, ((0, "1"),), None),
+        ({0, 1}, ((0, 1),), True),
+        ({0, 1}, ((0, 1),), 0.0),
+    ],
+)
+def test_tree_rejects_non_integer_ids(nodes, edges, root):
+    with pytest.raises(DomainError):
+        Tree(frozenset(nodes), edges, root=root)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"nodes": [0, 1.5, 2], "edges": [[0, 1.5], [1.5, 2]]},
+        {"nodes": [0, True], "edges": [[0, True]]},
+        {"nodes": [0, 1], "edges": [[0, 1]], "root": True},
+        {"nodes": [0, [1]], "edges": [[0, 1]]},
+        {"nodes": [0, 1]},
+        {"edges": [[0, 1]]},
+        {"nodes": [0, 1], "edges": [[0, 1, 2]]},
+        {"nodes": [0, 1], "edges": [0, 1]},
+        {"nodes": [0, 1], "edges": "01"},
+        [[0, 1], [[0, 1]]],
+    ],
+)
+def test_tree_from_dict_rejects_malformed(doc):
+    with pytest.raises(DomainError):
+        tree_from_dict(doc)
