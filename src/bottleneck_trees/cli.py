@@ -20,6 +20,7 @@ from .gbst import GbstResult, solve_2gbst
 from .generators import Generated, generate
 from .metric import (
     InstanceDocument,
+    _is_int,
     instance_document_to_dict,
     parse_instance_document,
 )
@@ -235,10 +236,7 @@ def _batch_record(job: dict, seed: int) -> dict:
         optimal = exact_gbst(doc.instance, doc.clusters)[1] if exact else None
     elif problem == "pbst":
         k = _field(job, "k", "a pbst batch job")
-        _require(
-            isinstance(k, int) and not isinstance(k, bool),
-            f"a pbst batch job's 'k' must be an integer, got {k!r}",
-        )
+        _require(_is_int(k), f"a pbst batch job's 'k' must be an integer, got {k!r}")
         achieved = solve_pbst(doc.instance, k).bottleneck
         optimal = exact_pbst(doc.instance, k)[1] if exact else None
     else:
@@ -276,8 +274,12 @@ def _cmd_batch(args) -> int:
     jobs = _field(config, "jobs", "a batch config")
     _require(isinstance(jobs, list), "a batch config's 'jobs' must be a list")
     seeds = config.get("seeds", 10)
-    if isinstance(seeds, int):
+    if _is_int(seeds):
         seeds = list(range(seeds))
+    _require(
+        isinstance(seeds, list) and all(_is_int(s) for s in seeds),
+        f"a batch config's 'seeds' must be an integer or a list of integers, got {seeds!r}",
+    )
     records = [_batch_record(job, seed) for job in jobs for seed in seeds]
     records.sort(key=lambda r: (r["generator"], r["problem"], r["k"], r["n"], r["seed"]))
     out = sys.stdout if args.output is None else open(args.output, "w", encoding="utf-8", newline="")

@@ -11,8 +11,8 @@ separates every tuple.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 
 from .errors import AlgorithmInvariantError, DomainError, PartitionError
 from .labeling import Labeling, konig_labeling
@@ -51,56 +51,93 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     subtree of v then has fewer than k nodes, any two nodes under v are at
     most 2k-2 hops apart.  The bucket is filled by repeatedly removing the
     deepest leaf of v's subtree (ties to the lowest id).
+
+    Runs in O(n k log n) time on n nodes.  The smallest such subtree always
+    hangs from a node none of whose children has k nodes, so only those
+    nodes are keyed in the candidate heap.  A bucket taken at v shrinks
+    every ancestor of v by exactly k; that debt is carried upward only while
+    ancestors fall below k and is banked at the first one that does not, so
+    a node's size is exact when it enters the heap.  v's deepest-leaf heap
+    is kept across repeated picks of v.
     """
     if tree.root is None:
         raise DomainError("bucketize needs a rooted tree")
+    if k < 1:
+        raise DomainError(f"bucketize needs k >= 1, got {k}")
     count = len(tree.nodes)
     if count % k != 0:
         raise PartitionError(f"node count {count} is not divisible by k={k}")
 
     parent = tree.parent_map
     depth = tree.depth_map
-    kids = {v: set(cs) for v, cs in tree.children_map().items()}
+    kids: dict[int, set[int]] = {v: set() for v in parent}
+    for v, p in parent.items():
+        if p is not None:
+            kids[p].add(v)
+    # size is read only while a node has k or more nodes.  It is exact for
+    # candidates; above a node of k or more it may still count the buckets
+    # banked in owed[] below, until that node falls under k.
     size = tree.subtree_sizes()
-    alive = set(tree.nodes)
-
-    cand: list[tuple[int, int]] = [(s, v) for v, s in size.items() if s >= k]
-    heapq.heapify(cand)
+    owed = dict.fromkeys(size, 0)
+    big_kids = dict.fromkeys(size, 0)
+    for v, s in size.items():
+        p = parent[v]
+        if s >= k and p is not None:
+            big_kids[p] += 1
+    cand = [(s, v) for v, s in size.items() if s >= k and not big_kids[v]]
+    heapify(cand)
+    leaf_heaps: dict[int, list[tuple[int, int]]] = {}
 
     buckets: list[tuple[int, ...]] = []
     reps: list[int] = []
-    while alive:
-        while True:
-            s, v = heapq.heappop(cand)
-            if v in alive and size[v] == s and s >= k:
-                break
-        # Snapshot v's current subtree and peel k deepest leaves off it.
-        sub: list[int] = []
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            sub.append(x)
-            stack.extend(kids[x])
-        leaf_heap = [(-depth[x], x) for x in sub if not kids[x]]
-        heapq.heapify(leaf_heap)
+    while cand:
+        _, v = heappop(cand)
+        leaf_heap = leaf_heaps.get(v)
+        if leaf_heap is None:
+            # Snapshot v's current subtree; every child subtree is below k.
+            leaf_heap = []
+            stack = [v]
+            while stack:
+                x = stack.pop()
+                if kids[x]:
+                    stack.extend(kids[x])
+                else:
+                    leaf_heap.append((-depth[x], x))
+            heapify(leaf_heap)
+            leaf_heaps[v] = leaf_heap
         bucket: list[int] = []
         for _ in range(k):
-            _, leaf = heapq.heappop(leaf_heap)
+            _, leaf = heappop(leaf_heap)
             bucket.append(leaf)
-            alive.remove(leaf)
             p = parent[leaf]
             if p is not None:
                 kids[p].remove(leaf)
                 if leaf != v and not kids[p]:
-                    heapq.heappush(leaf_heap, (-depth[p], p))
-            anc = p
-            while anc is not None:
-                size[anc] -= 1
-                if size[anc] >= k:
-                    heapq.heappush(cand, (size[anc], anc))
-                anc = parent[anc]
+                    heappush(leaf_heap, (-depth[p], p))
         buckets.append(tuple(bucket))
         reps.append(v)
+        size[v] -= k
+        owed[v] += k
+        if size[v] >= k:
+            heappush(cand, (size[v], v))
+            continue
+        del leaf_heaps[v]
+        # v left the candidates: carry its debt up past every ancestor that
+        # falls below k, and bank it at the first one that does not.
+        debt = owed[v]
+        u = parent[v]
+        while u is not None:
+            size[u] -= debt
+            big_kids[u] -= 1
+            if size[u] >= k:
+                owed[u] += debt
+                if not big_kids[u]:
+                    heappush(cand, (size[u], u))
+                break
+            debt += owed[u]
+            u = parent[u]
+    if len(buckets) * k != count:
+        raise AlgorithmInvariantError(f"buckets cover {len(buckets) * k} of {count} nodes")
 
     bucket_index: dict[int, int] = {}
     for j, bucket in enumerate(buckets):

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .metric import ClusterPartition, MetricInstance, TuplePartition
+from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
 from .trees import Tree
 
 
@@ -174,6 +174,16 @@ def gbst_path8() -> Generated:
     return Generated(instance=instance, clusters=clusters)
 
 
+def _int_param(params: dict, name: str, default: int | None) -> int | None:
+    """params[name], or the default when absent; it must be an int, not a bool."""
+    value = params.get(name, default)
+    if value is None and default is None:
+        return None
+    if not _is_int(value):
+        raise DomainError(f"generator parameter {name!r} must be an integer, got {value!r}")
+    return value
+
+
 def generate(kind: str, params: dict, seed: int) -> Generated:
     """Build a named instance (plus partitions where they apply).
 
@@ -183,18 +193,17 @@ def generate(kind: str, params: dict, seed: int) -> Generated:
     """
     rng = random.Random(seed)
     if kind == "euclidean" or kind == "random-metric":
-        n = int(params.get("n", 0))
+        n = _int_param(params, "n", 0)
         if kind == "euclidean":
-            instance = euclidean_instance(int(params.get("dim", 2)), n, rng)
+            instance = euclidean_instance(_int_param(params, "dim", 2), n, rng)
         else:
             instance = random_metric_instance(n, rng)
         partition = params.get("partition", "none")
         if partition == "tuples":
-            k = int(params.get("k", 2))
+            k = _int_param(params, "k", 2)
             return Generated(instance=instance, tuples=random_tuples(n, k, rng))
         if partition == "clusters":
-            singletons = params.get("singletons")
-            singletons = int(singletons) if singletons is not None else None
+            singletons = _int_param(params, "singletons", None)
             return Generated(
                 instance=instance, clusters=random_clusters(n, rng, singletons)
             )
@@ -202,9 +211,9 @@ def generate(kind: str, params: dict, seed: int) -> Generated:
             return Generated(instance=instance)
         raise DomainError(f"unknown partition kind {partition!r}")
     if kind == "fixture-star":
-        return Generated(instance=star_instance(int(params.get("leaves", 3))))
+        return Generated(instance=star_instance(_int_param(params, "leaves", 3)))
     if kind == "fixture-spider":
-        return Generated(instance=spider_instance(int(params.get("k", 4))))
+        return Generated(instance=spider_instance(_int_param(params, "k", 4)))
     if kind == "fixture-gbst-path8":
         return gbst_path8()
     raise DomainError(f"unknown generator kind {kind!r}")

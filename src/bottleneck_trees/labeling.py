@@ -127,6 +127,11 @@ def representatives(a_groups, b_groups) -> tuple[list[int], list[int]]:
     group pair shares, the lowest id is chosen.
     """
     a, b, _ = _validate_double_partition(a_groups, b_groups)
+    return _representatives(a, b)
+
+
+def _representatives(a, b) -> tuple[list[int], list[int]]:
+    """representatives() on groups already known to form a double partition."""
     n = len(a)
     b_index: dict[int, int] = {}
     for j, g in enumerate(b):
@@ -156,8 +161,10 @@ def konig_labeling(a_groups, b_groups, k: int) -> Labeling:
     labels: dict[int, int] = {}
     cur_a = [list(g) for g in a]
     cur_b = [list(g) for g in b]
+    # Each round's residual groups are checked below to keep a uniform size,
+    # so they stay a double partition and need no validation again.
     for label in range(k - 1):
-        reps, _ = representatives(cur_a, cur_b)
+        reps, _ = _representatives(cur_a, cur_b)
         rep_set = set(reps)
         if len(rep_set) != len(reps):
             raise AlgorithmInvariantError("representatives are not distinct")

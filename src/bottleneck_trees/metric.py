@@ -23,7 +23,10 @@ def _finite_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
     A row is checked through its sum, and entry by entry only when the sum
     is not finite, so huge but finite rows whose sum overflows still pass.
     """
-    out = tuple(tuple(map(float, row)) for row in rows)
+    try:
+        out = tuple(tuple(map(float, row)) for row in rows)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} rows must be sequences of numbers: {exc}") from None
     for i, row in enumerate(out):
         if not math.isfinite(sum(row)):
             for x in row:
@@ -146,10 +149,15 @@ def validate_metric(instance: MetricInstance) -> MetricValidation:
     return MetricValidation(tuple(violations))
 
 
+def _is_int(value) -> bool:
+    """An int that is not a bool (True would silently stand for 1)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _check_int_ids(ids, what: str) -> None:
-    """Each id must be an int, not a bool (True would silently stand for 1)."""
+    """Each id must be an int, not a bool."""
     for p in ids:
-        if not isinstance(p, int) or isinstance(p, bool):
+        if not _is_int(p):
             raise DomainError(f"{what} id {p!r} is not an integer")
 
 
@@ -253,9 +261,9 @@ def parse_instance_document(doc: dict) -> InstanceDocument:
     if not isinstance(points, dict):
         raise DomainError("'points' must be an object")
     if "coordinates" in points:
-        instance = MetricInstance.from_coordinates(points["coordinates"])
+        instance = MetricInstance.from_coordinates(_list_of_lists(points, "coordinates"))
     elif "matrix" in points:
-        instance = MetricInstance.from_matrix(points["matrix"])
+        instance = MetricInstance.from_matrix(_list_of_lists(points, "matrix"))
         report = validate_metric(instance)
         if not report.ok:
             shown = ", ".join(repr(v) for v in report.violations[:3])
@@ -263,24 +271,34 @@ def parse_instance_document(doc: dict) -> InstanceDocument:
     else:
         raise DomainError("'points' must contain 'coordinates' or 'matrix'")
 
+    k = doc.get("k")
+    if k is not None and not _is_int(k):
+        raise DomainError(f"'k' must be an integer, got {k!r}")
     tuples = None
     if doc.get("tuples") is not None:
-        groups = doc["tuples"]
-        if not groups or not all(isinstance(g, list) for g in groups):
-            raise DomainError("'tuples' must be a non-empty list of lists")
-        k = int(doc["k"]) if doc.get("k") is not None else len(groups[0])
-        tuples = TuplePartition(k=k, tuples=tuple(tuple(g) for g in groups))
+        groups = _list_of_lists(doc, "tuples")
+        tuples = TuplePartition(
+            k=k if k is not None else len(groups[0]),
+            tuples=tuple(tuple(g) for g in groups),
+        )
         if tuples.point_count != instance.point_count:
             raise PartitionError("tuples do not cover exactly the instance's points")
     clusters = None
     if doc.get("clusters") is not None:
-        groups = doc["clusters"]
-        if not groups or not all(isinstance(g, list) for g in groups):
-            raise DomainError("'clusters' must be a non-empty list of lists")
-        k = int(doc["k"]) if doc.get("k") is not None else max(2, max(len(g) for g in groups))
+        groups = _list_of_lists(doc, "clusters")
+        if k is None:
+            k = max(len(g) for g in groups)
         clusters = ClusterPartition(k=max(2, k), clusters=tuple(tuple(g) for g in groups))
         clusters.check_covers(instance)
     return InstanceDocument(instance=instance, tuples=tuples, clusters=clusters)
+
+
+def _list_of_lists(mapping: dict, key: str) -> list:
+    """mapping[key], which must be a non-empty JSON list of lists."""
+    value = mapping[key]
+    if not isinstance(value, list) or not value or not all(isinstance(g, list) for g in value):
+        raise DomainError(f"{key!r} must be a non-empty list of lists")
+    return value
 
 
 def instance_document_to_dict(doc: InstanceDocument) -> dict:

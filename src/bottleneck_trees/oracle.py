@@ -17,20 +17,25 @@ from .metric import ClusterPartition, MetricInstance, TuplePartition
 from .trees import Forest, Tree, minimum_spanning_tree
 
 
-def _group_threshold(instance: MetricInstance, points) -> float:
+def _distance_table(instance: MetricInstance) -> list[list[float]]:
+    """table[u][v] == instance.distance(u, v) for every ordered pair."""
+    pts = instance.points()
+    return [[instance.distance(u, v) for v in pts] for u in pts]
+
+
+def _group_threshold(table: list[list[float]], points) -> float:
     """Smallest possible largest edge of a spanning tree on the points."""
     pts = sorted(points)
     if len(pts) <= 1:
         return 0.0
-    in_tree = {pts[0]}
-    best = {p: instance.distance(p, pts[0]) for p in pts[1:]}
+    best = {p: table[p][pts[0]] for p in pts[1:]}
     worst = 0.0
     while best:
         p = min(best, key=lambda q: (best[q], q))
         worst = max(worst, best.pop(p))
-        in_tree.add(p)
+        row = table[p]
         for q in best:
-            d = instance.distance(p, q)
+            d = row[q]
             if d < best[q]:
                 best[q] = d
     return worst
@@ -49,6 +54,16 @@ def exact_dbst(
         raise OracleSizeError(f"exact_dbst is capped at k<=3, n<=6 (got k={k}, n={n})")
     if instance.point_count != tuples.point_count:
         raise PartitionError("tuples do not cover exactly the instance's points")
+    table = _distance_table(instance)
+    thresholds: dict[tuple[int, ...], float] = {}
+
+    def threshold(group: list[int]) -> float:
+        key = tuple(sorted(group))
+        value = thresholds.get(key)
+        if value is None:
+            value = thresholds[key] = _group_threshold(table, key)
+        return value
+
     identity = tuple(range(k))
     best_value: float | None = None
     best_groups: list[list[int]] | None = None
@@ -58,7 +73,7 @@ def exact_dbst(
         for members, perm in zip(tuples.tuples, assignment):
             for pos, tree_idx in enumerate(perm):
                 groups[tree_idx].append(members[pos])
-        value = max(_group_threshold(instance, g) for g in groups)
+        value = max(threshold(g) for g in groups)
         if best_value is None or value < best_value:
             best_value, best_groups = value, groups
     assert best_groups is not None and best_value is not None
@@ -77,10 +92,11 @@ def exact_gbst(
     if clusters.max_size() > 2:
         raise PartitionError("exact_gbst handles clusters of size at most 2")
     clusters.check_covers(instance)
+    table = _distance_table(instance)
     best_value: float | None = None
     best_choice: tuple[int, ...] | None = None
     for choice in product(*clusters.clusters):
-        value = _group_threshold(instance, choice)
+        value = _group_threshold(table, choice)
         if best_value is None or value < best_value:
             best_value, best_choice = value, choice
     assert best_choice is not None and best_value is not None

@@ -152,9 +152,19 @@ _GEN = {"kind": "euclidean", "n": 6, "dim": 2}
         ({"seeds": 1, "jobs": [{"problem": "pbst", "k": "two", "generator": _GEN}]}, "'k'"),
         ({"seeds": 1, "jobs": [{"problem": "pbst", "k": 2.5, "generator": _GEN}]}, "'k'"),
         ({"seeds": 1, "jobs": [{"problem": "pbst", "k": True, "generator": _GEN}]}, "'k'"),
+        ({"seeds": 1, "jobs": [{"problem": "pbst", "k": 2,
+                                "generator": {"kind": "euclidean", "n": "x"}}]}, "'n'"),
+        ({"seeds": 1, "jobs": [{"problem": "gbst",
+                                "generator": {"kind": "euclidean", "n": 6, "partition": "clusters",
+                                              "singletons": "z"}}]}, "'singletons'"),
+        ({"seeds": 2.5, "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
+        ({"seeds": "ab", "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
+        ({"seeds": [0, "1"], "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
+        ({"seeds": True, "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
     ],
     ids=["no-jobs", "jobs-not-list", "no-problem", "no-generator", "no-k",
-         "no-kind", "k-string", "k-float", "k-bool"],
+         "no-kind", "k-string", "k-float", "k-bool", "n-string", "singletons-string",
+         "seeds-float", "seeds-string", "seeds-list-of-strings", "seeds-bool"],
 )
 def test_malformed_batch_config_exits_two(tmp_path, capsys, config, named):
     path = tmp_path / "batch.json"

@@ -1,9 +1,12 @@
+import heapq
 import random
 from itertools import permutations, product
 
 import pytest
 
 from bottleneck_trees import (
+    BucketPartition,
+    DomainError,
     MetricInstance,
     PartitionError,
     Tree,
@@ -45,6 +48,125 @@ def _brute_dbst_value(inst, tuples):
     return best
 
 
+def _reference_bucketize(tree, k):
+    """The quadratic bucketize: size updates walk to the root after every
+    leaf removal, and each pick snapshots the node's whole subtree."""
+    parent = tree.parent_map
+    depth = tree.depth_map
+    kids = {v: set(cs) for v, cs in tree.children_map().items()}
+    size = tree.subtree_sizes()
+    alive = set(tree.nodes)
+    cand = [(s, v) for v, s in size.items() if s >= k]
+    heapq.heapify(cand)
+    buckets, reps = [], []
+    while alive:
+        while True:
+            s, v = heapq.heappop(cand)
+            if v in alive and size[v] == s and s >= k:
+                break
+        sub, stack = [], [v]
+        while stack:
+            x = stack.pop()
+            sub.append(x)
+            stack.extend(kids[x])
+        leaf_heap = [(-depth[x], x) for x in sub if not kids[x]]
+        heapq.heapify(leaf_heap)
+        bucket = []
+        for _ in range(k):
+            _, leaf = heapq.heappop(leaf_heap)
+            bucket.append(leaf)
+            alive.remove(leaf)
+            p = parent[leaf]
+            if p is not None:
+                kids[p].remove(leaf)
+                if leaf != v and not kids[p]:
+                    heapq.heappush(leaf_heap, (-depth[p], p))
+            anc = p
+            while anc is not None:
+                size[anc] -= 1
+                if size[anc] >= k:
+                    heapq.heappush(cand, (size[anc], anc))
+                anc = parent[anc]
+        buckets.append(tuple(bucket))
+        reps.append(v)
+    bucket_index = {p: j for j, bucket in enumerate(buckets) for p in bucket}
+    parents = []
+    for j, v in enumerate(reps):
+        if v not in buckets[j]:
+            parents.append(bucket_index[v])
+        else:
+            pv = parent[v]
+            parents.append(bucket_index[pv] if pv is not None else None)
+    return BucketPartition(tuple(buckets), tuple(reps), tuple(parents))
+
+
+def _shuffled_path(n, rng):
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return Tree(frozenset(ids), tuple(zip(ids, ids[1:])))
+
+
+def _star(n, rng):
+    ids = list(range(n))
+    rng.shuffle(ids)
+    return Tree(frozenset(ids), tuple((ids[0], x) for x in ids[1:]))
+
+
+def _caterpillar(n, rng):
+    ids = list(range(n))
+    rng.shuffle(ids)
+    spine = max(1, n // 3)
+    edges = list(zip(ids[:spine], ids[1:spine]))
+    edges += [(ids[rng.randrange(spine)], x) for x in ids[spine:]]
+    return Tree(frozenset(ids), tuple(edges))
+
+
+@pytest.mark.parametrize("shape", [random_tree, _shuffled_path, _star, _caterpillar])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_bucketize_matches_reference(shape, k):
+    rng = random.Random(f"{shape.__name__}-{k}")
+    for trial in range(40):
+        n = k * rng.randint(1, 150 if trial % 10 == 0 else 25)
+        tree = shape(n, rng)
+        roots = (min(tree.leaves()), rng.choice(sorted(tree.nodes)))
+        for root in roots:
+            rooted = tree.rooted_at(root)
+            assert bucketize(rooted, k) == _reference_bucketize(rooted, k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_bucketize_large_path_and_star(k):
+    # The reference needs O(n * depth) heap entries on a 2*10^4-node path,
+    # and O(n^2 / k) snapshot work on the star, so both are checked against
+    # their closed forms instead.
+    n = 20_000 - 20_000 % k
+    rng = random.Random(k)
+    path = _shuffled_path(n, rng)
+    end = min(path.leaves())
+    rooted = path.rooted_at(end)
+    order = sorted(rooted.nodes, key=rooted.depth_map.__getitem__, reverse=True)
+    blocks = [tuple(order[i : i + k]) for i in range(0, n, k)]
+    m = n // k
+    assert bucketize(rooted, k) == BucketPartition(
+        tuple(blocks),
+        tuple(block[-1] for block in blocks),
+        tuple(range(1, m)) + (None,),
+    )
+    star = _star(n, rng)
+    root = min(star.leaves())
+    center = star.adjacency[root][0]
+    rooted = star.rooted_at(root)
+    spokes = sorted(star.adjacency[center])
+    spokes.remove(root)
+    blocks = [tuple(spokes[i : i + k]) for i in range(0, n - k, k)]
+    blocks.append(tuple(spokes[n - k :]) + (center, root))
+    assert bucketize(rooted, k) == BucketPartition(
+        tuple(blocks),
+        (center,) * (m - 1) + (root,),
+        (m - 1,) * (m - 1) + (None,),
+    )
+
+
 def test_bucketize_path_pairs():
     t = Tree(frozenset(range(4)), ((0, 1), (1, 2), (2, 3)), root=0)
     bp = bucketize(t, 2)
@@ -56,6 +178,13 @@ def test_bucketize_needs_divisible_count():
     t = Tree(frozenset(range(3)), ((0, 1), (1, 2)), root=0)
     with pytest.raises(PartitionError):
         bucketize(t, 2)
+
+
+@pytest.mark.parametrize("k", [0, -2])
+def test_bucketize_rejects_non_positive_k(k):
+    t = Tree(frozenset(range(2)), ((0, 1),), root=0)
+    with pytest.raises(DomainError):
+        bucketize(t, k)
 
 
 def test_bucketize_pairs_are_siblings_or_parent_child():

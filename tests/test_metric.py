@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottleneck_trees import (
+    BottleneckTreeError,
     ClusterPartition,
     DomainError,
     IdentifierError,
@@ -202,3 +203,58 @@ def test_instance_document_rejects_non_metric_matrix():
 def test_instance_document_rejects_unknown_geometry():
     with pytest.raises(DomainError):
         parse_instance_document({"points": {}})
+
+
+@pytest.mark.parametrize("k", ["x", "2", 2.9, 2.0, True, [2]])
+def test_instance_document_rejects_non_integer_k(k):
+    points = {"coordinates": [[0.0], [1.0], [2.0], [3.0]]}
+    with pytest.raises(DomainError):
+        parse_instance_document({"points": points, "tuples": [[0, 3], [1, 2]], "k": k})
+    with pytest.raises(DomainError):
+        parse_instance_document({"points": points, "clusters": [[0, 3], [1, 2]], "k": k})
+
+
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.text(max_size=3)
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+_small_ints = st.integers(min_value=-1, max_value=4)
+_id_groups = st.lists(st.lists(_small_ints | _json_scalars, max_size=3), max_size=3)
+_malformed_documents = st.fixed_dictionaries(
+    {},
+    optional={
+        "points": st.one_of(
+            _json_values,
+            st.fixed_dictionaries({}, optional={
+                "coordinates": st.one_of(
+                    _json_values, st.lists(st.lists(_json_scalars, max_size=2), max_size=4)
+                ),
+                "matrix": st.one_of(
+                    _json_values, st.lists(st.lists(_json_scalars, max_size=4), max_size=4)
+                ),
+            }),
+        ),
+        "tuples": st.one_of(_json_values, _id_groups),
+        "clusters": st.one_of(_json_values, _id_groups),
+        "k": st.one_of(_json_scalars, _small_ints),
+    },
+) | _json_values
+
+
+@settings(max_examples=400, deadline=None)
+@given(_malformed_documents)
+def test_instance_document_fuzz_raises_only_package_errors(doc):
+    # Anything malformed must surface as a BottleneckTreeError subclass,
+    # never as a bare KeyError, TypeError or ValueError.
+    try:
+        parse_instance_document(doc)
+    except BottleneckTreeError:
+        pass
