@@ -186,11 +186,7 @@ def forest_from_tree(
         for c in range(k):
             edge_lists[c].append((slot[j][c], slot[pj][c]))
     trees = tuple(
-        Tree(
-            frozenset(slot[j][c] for j in range(m)),
-            tuple(edge_lists[c]),
-            root=slot[m - 1][c],
-        )
+        Tree._wired((slot[j][c] for j in range(m)), edge_lists[c], slot[m - 1][c], tree)
         for c in range(k)
     )
     return Forest(trees), bp, lab
@@ -224,8 +220,8 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
     _, mst_bot = longest_edge(mst, instance)
 
     if k == 2:
-        for e in mst.edges:
-            if instance.distance(*e) != mst_bot:
+        for e, d in zip(mst.edges, instance._lengths(mst.edges)):
+            if d != mst_bot:
                 continue
             side_u, side_v = split_tree_at_edge(mst, e)
             if all(len(side_u.nodes & set(t)) == 1 for t in tuples.tuples):

@@ -58,7 +58,7 @@ def build_t1(instance: MetricInstance, clusters: ClusterPartition) -> Tree:
     m = len(clusters.clusters)
     if m == 1:
         p = clusters.clusters[0][0]
-        return Tree(frozenset({p}), ())
+        return Tree._from_valid(frozenset({p}), ())
 
     mst = minimum_spanning_tree(instance, instance.points())
     uf = UnionFind(instance.points())
@@ -76,7 +76,7 @@ def build_t1(instance: MetricInstance, clusters: ClusterPartition) -> Tree:
             swept = mst.edges[: at + 1]
             edges = tuple(e for e in swept if uf.find(e[0]) == root)
             nodes = frozenset(p for p in instance.points() if uf.find(p) == root)
-            return Tree(nodes, edges)
+            return Tree._from_valid(nodes, edges)
     raise AlgorithmInvariantError("no component ever covered all clusters")
 
 
@@ -196,7 +196,7 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
         raise AlgorithmInvariantError(
             f"no selected node within 3 hops above {a}; the selection walk is broken"
         )
-    return Tree(frozenset(selected), tuple(edges), root=t1.root)
+    return Tree._wired(selected, edges, t1.root, t1)
 
 
 @dataclass(frozen=True)

@@ -17,22 +17,39 @@ from dataclasses import dataclass
 from .errors import DomainError, IdentifierError, PartitionError
 
 
-def _finite_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
-    """Rows as float tuples; a NaN or infinite entry is a DomainError.
+_INT = {int}
+_NUMBER = {int, float}
 
-    A row is checked through its sum, and entry by entry only when the sum
-    is not finite, so huge but finite rows whose sum overflows still pass.
+
+def _finite_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
+    """Rows as float tuples; a non-number, NaN or infinity is a DomainError.
+
+    Numbers are ints and floats (and their subclasses), never bools or
+    numeric strings.  Each row's entry types are read in one C-level pass,
+    so all-float rows are kept as they are and only other rows are checked
+    entry by entry and converted.  A row is checked for finiteness through
+    its sum, and entry by entry only when the sum is not finite, so huge
+    but finite rows whose sum overflows still pass.
     """
+    out = []
     try:
-        out = tuple(tuple(map(float, row)) for row in rows)
-    except (TypeError, ValueError, OverflowError) as exc:
+        for row in map(tuple, rows):
+            types = list(map(type, row))
+            if types.count(float) != len(types):
+                if not set(types) <= _NUMBER:
+                    for x in row:
+                        if isinstance(x, bool) or not isinstance(x, (int, float)):
+                            raise DomainError(f"{what} rows must hold numbers, got {x!r}")
+                row = tuple(map(float, row))
+            out.append(row)
+    except (TypeError, OverflowError) as exc:
         raise DomainError(f"{what} rows must be sequences of numbers: {exc}") from None
     for i, row in enumerate(out):
         if not math.isfinite(sum(row)):
             for x in row:
                 if not math.isfinite(x):
                     raise DomainError(f"{what} row {i} holds a non-finite value {x!r}")
-    return out
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -89,6 +106,19 @@ class MetricInstance:
         if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < self.point_count:
             raise IdentifierError(f"point id {p!r} not in 0..{self.point_count - 1}")
 
+    def _check_ids(self, ids) -> None:
+        """`_check_id` on every id of a collection, at C speed.
+
+        One type pass and one range check when every id is an int; id by id
+        otherwise, so the error names the first bad id.
+        """
+        if not ids:
+            return
+        if set(map(type, ids)) <= _INT and min(ids) >= 0 and max(ids) < self.point_count:
+            return
+        for p in ids:
+            self._check_id(p)
+
     def distance(self, u: int, v: int) -> float:
         """Distance between two points; symmetric and zero on the diagonal."""
         self._check_id(u)
@@ -97,6 +127,15 @@ class MetricInstance:
             return self.matrix[u][v]
         assert self.coordinates is not None
         return math.dist(self.coordinates[u], self.coordinates[v])
+
+    def _lengths(self, pairs) -> list[float]:
+        """Distances of (u, v) pairs whose ids the caller has checked once."""
+        if self.matrix is not None:
+            matrix = self.matrix
+            return [matrix[u][v] for u, v in pairs]
+        assert self.coordinates is not None
+        coords = self.coordinates
+        return [math.dist(coords[u], coords[v]) for u, v in pairs]
 
 
 @dataclass(frozen=True)

@@ -38,13 +38,13 @@ def _edges_within(edges, nodes) -> tuple[tuple[int, int], ...]:
 
 
 def _extract_subtree(t: Tree, v: int) -> Tree:
-    sub = t.subtree_nodes(v)
-    return Tree(frozenset(sub), _edges_within(t.edges, sub), root=v)
+    sub = frozenset(t.subtree_nodes(v))
+    return Tree._from_valid(sub, _edges_within(t.edges, sub), v)
 
 
 def _remove_subtree(t: Tree, v: int) -> Tree:
-    rest = set(t.nodes) - t.subtree_nodes(v)
-    return Tree(frozenset(rest), _edges_within(t.edges, rest), root=t.root)
+    rest = t.nodes - t.subtree_nodes(v)
+    return Tree._from_valid(rest, _edges_within(t.edges, rest), t.root)
 
 
 def _shrink_side(side: set[int], count: int, depth, grand) -> set[int]:
@@ -141,8 +141,8 @@ def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
 
     red_edges = relink(red, root) if grown == "red" else grand_links(red, root)
     blue_edges = relink(blue, blue_anchor) if grown == "blue" else grand_links(blue, blue_anchor)
-    r_tree = Tree(frozenset(red), tuple(red_edges), root=root)
-    b_tree = Tree(frozenset(blue), tuple(blue_edges), root=blue_anchor)
+    r_tree = Tree._wired(red, red_edges, root, t)
+    b_tree = Tree._wired(blue, blue_edges, blue_anchor, t)
     return r_tree, b_tree
 
 
@@ -181,11 +181,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
     n1 = n - acc
     uj = kids_v[jj]
     uj_nodes = t.subtree_nodes(uj)
-    u_v_j = Tree(
-        frozenset(uj_nodes | {v}),
-        _edges_within(t.edges, uj_nodes) + ((v, uj),),
-        root=v,
-    )
+    u_v_j = Tree._wired(uj_nodes | {v}, _edges_within(t.edges, uj_nodes) + ((v, uj),), v, t)
     keep, give = partition_two(u_v_j, len(u_v_j.nodes) - n1)
 
     lead = set()
@@ -197,7 +193,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
         + give.edges
         + tuple((u, uj) for u in kids_v[:jj])
     )
-    r_tree = Tree(frozenset(r_nodes), r_edges, root=uj)
+    r_tree = Tree._wired(r_nodes, r_edges, uj, t)
 
     tilde_nodes = set(t.nodes) - r_nodes
     keep_nodes = set(keep.nodes)
@@ -211,7 +207,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
         )
         + keep.edges
     )
-    tilde = Tree(frozenset(tilde_nodes), tilde_edges, root=t.root)
+    tilde = Tree._wired(tilde_nodes, tilde_edges, t.root, t)
     size2 = tilde.subtree_sizes()
     parent2 = tilde.parent_map
 
@@ -249,10 +245,8 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
         n1b = n - acc
         uj2 = kids_w[j2]
         uj2_nodes = tilde.subtree_nodes(uj2)
-        u_w_j = Tree(
-            frozenset(uj2_nodes | {w}),
-            _edges_within(tilde.edges, uj2_nodes) + ((w, uj2),),
-            root=w,
+        u_w_j = Tree._wired(
+            uj2_nodes | {w}, _edges_within(tilde.edges, uj2_nodes) + ((w, uj2),), w, tilde
         )
         keep2, give2 = partition_two(u_w_j, len(u_w_j.nodes) - n1b)
         lead2 = set()
@@ -264,7 +258,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
             + give2.edges
             + tuple((c, uj2) for c in kids_w[:j2])
         )
-        g_tree = Tree(frozenset(g_nodes), g_edges, root=uj2)
+        g_tree = Tree._wired(g_nodes, g_edges, uj2, tilde)
         b_nodes = tilde_nodes - g_nodes
         keep2_nodes = set(keep2.nodes)
         b_edges = (
@@ -277,7 +271,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
             )
             + keep2.edges
         )
-        b_tree = Tree(frozenset(b_nodes), b_edges, root=tilde.root)
+        b_tree = Tree._wired(b_nodes, b_edges, tilde.root, tilde)
         return r_tree, g_tree, b_tree
 
     # size2[v] > n: take the graft, the next child subtrees, and a piece of
@@ -302,7 +296,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
         g_edges = keep.edges
         for u in later[: ll + 1]:
             g_edges = g_edges + _edges_within(t.edges, t.subtree_nodes(u)) + ((v, u),)
-        g_tree = Tree(frozenset(g_nodes), g_edges, root=v)
+        g_tree = Tree._wired(g_nodes, g_edges, v, tilde)
         chain = later[ll + 1 :]
         if not chain:
             raise AlgorithmInvariantError("nothing left to chain after a full split")
@@ -312,13 +306,11 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
             (chain[i], chain[i + 1]) for i in range(len(chain) - 1)
         )
         b_edges = b_edges + ((chain[-1], parent_v),)
-        b_tree = Tree(frozenset(b_nodes), b_edges, root=tilde.root)
+        b_tree = Tree._wired(b_nodes, b_edges, tilde.root, tilde)
         return r_tree, g_tree, b_tree
 
-    u_v_l = Tree(
-        frozenset(ul_nodes | {v}),
-        _edges_within(tilde.edges, ul_nodes) + ((v, ul),),
-        root=v,
+    u_v_l = Tree._wired(
+        ul_nodes | {v}, _edges_within(tilde.edges, ul_nodes) + ((v, ul),), v, tilde
     )
     give3, keep3 = partition_two(u_v_l, n2)
     g_nodes = keep_nodes | set(give3.nodes)
@@ -326,7 +318,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
     for u in later[:ll]:
         g_nodes |= t.subtree_nodes(u)
         g_edges = g_edges + _edges_within(t.edges, t.subtree_nodes(u)) + ((v, u),)
-    g_tree = Tree(frozenset(g_nodes), g_edges, root=v)
+    g_tree = Tree._wired(g_nodes, g_edges, v, tilde)
 
     b_nodes = tilde_nodes - g_nodes
     keep3_nodes = set(keep3.nodes)
@@ -341,7 +333,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
     chain = [ul] + list(later[ll + 1 :])
     b_edges = b_edges + tuple((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
     b_edges = b_edges + ((chain[-1], parent_v),)
-    b_tree = Tree(frozenset(b_nodes), b_edges, root=tilde.root)
+    b_tree = Tree._wired(b_nodes, b_edges, tilde.root, tilde)
     return r_tree, g_tree, b_tree
 
 
@@ -361,14 +353,7 @@ def partition_many(tree: Tree, k: int) -> Forest:
     leaves = tree.leaves()
     path = cube_hamiltonian_path_between(tree, leaves[0], leaves[-1])
     pieces = [path[i * n : (i + 1) * n] for i in range(k)]
-    trees = tuple(
-        Tree(
-            frozenset(piece),
-            tuple((piece[t], piece[t + 1]) for t in range(len(piece) - 1)),
-            root=piece[0],
-        )
-        for piece in pieces
-    )
+    trees = tuple(Tree._wired(piece, zip(piece, piece[1:]), piece[0], tree) for piece in pieces)
     return Forest(trees)
 
 

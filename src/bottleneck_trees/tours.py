@@ -31,9 +31,9 @@ class TourResult:
 
 
 def tour_bottleneck(tour, instance: MetricInstance) -> float:
-    return max(
-        instance.distance(tour[i], tour[(i + 1) % len(tour)]) for i in range(len(tour))
-    )
+    """Longest step of the cyclic tour, wrap-around included."""
+    instance._check_ids(tour)
+    return max(instance._lengths(zip(tour, [*tour[1:], *tour[:1]])))
 
 
 def lift_to_tours(forest: Forest, instance: MetricInstance) -> TourResult:

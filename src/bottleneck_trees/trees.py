@@ -10,6 +10,14 @@ between the two ends builds every such path and cycle here.
 The MST is a dense Prim kernel (O(n^2) time, O(n) extra memory) with the
 (distance, u, v) tie-break; each solver builds one per solve and derives
 everything else from its edges.
+
+Validation happens at the boundary.  A `Tree` built by hand or read by
+`tree_from_dict` checks its id types and its structure.  Trees derived from
+a valid tree (the MST, `rooted_at`, the sides of `split_tree_at_edge`) are
+trusted and built by `Tree._from_valid` without checks.  Trees wired from
+new edges over a source tree's nodes go through `Tree._wired`, which checks
+their structure but not their id types.  Distance reads over a tree are one
+range check on its nodes, not two id checks per edge.
 """
 
 from __future__ import annotations
@@ -51,6 +59,30 @@ class UnionFind:
         return True
 
 
+def _check_structure(
+    nodes: frozenset[int], edges: tuple[tuple[int, int], ...], root: int | None
+) -> None:
+    """DomainError unless the nodes, normalized edges and root form a tree.
+
+    A tree has at least one node and |nodes| - 1 edges between its nodes
+    that close no cycle; its root, if any, is one of its nodes.
+    """
+    if not nodes:
+        raise DomainError("a tree needs at least one node")
+    if len(edges) != len(nodes) - 1:
+        raise DomainError(
+            f"a tree on {len(nodes)} nodes needs {len(nodes) - 1} edges, got {len(edges)}"
+        )
+    uf = UnionFind(nodes)
+    for u, v in edges:
+        if u not in nodes or v not in nodes:
+            raise DomainError(f"edge ({u}, {v}) has an endpoint outside the node set")
+        if not uf.union(u, v):
+            raise DomainError(f"edges contain a cycle (adding ({u}, {v}))")
+    if root is not None and root not in nodes:
+        raise DomainError(f"root {root} is not a node of the tree")
+
+
 @dataclass(frozen=True)
 class Tree:
     """An explicit tree: a node set, |nodes|-1 unordered edges, optional root.
@@ -68,25 +100,43 @@ class Tree:
         edges = tuple(self.edges)
         _check_int_ids(nodes, "tree node")
         _check_int_ids((x for e in edges for x in e), "tree edge endpoint")
-        edges = tuple(_normalize_edge(u, v) for u, v in edges)
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
-        if not nodes:
-            raise DomainError("a tree needs at least one node")
-        if len(edges) != len(nodes) - 1:
-            raise DomainError(
-                f"a tree on {len(nodes)} nodes needs {len(nodes) - 1} edges, got {len(edges)}"
-            )
-        uf = UnionFind(nodes)
-        for u, v in edges:
-            if u not in nodes or v not in nodes:
-                raise DomainError(f"edge ({u}, {v}) has an endpoint outside the node set")
-            if not uf.union(u, v):
-                raise DomainError(f"edges contain a cycle (adding ({u}, {v}))")
         if self.root is not None:
             _check_int_ids((self.root,), "tree root")
-            if self.root not in nodes:
-                raise DomainError(f"root {self.root} is not a node of the tree")
+        edges = tuple(_normalize_edge(u, v) for u, v in edges)
+        _check_structure(nodes, edges, self.root)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+
+    @classmethod
+    def _from_valid(
+        cls, nodes: frozenset[int], edges: tuple[tuple[int, int], ...], root: int | None = None
+    ) -> "Tree":
+        """A tree from fields already known to form one; nothing is checked.
+
+        `nodes` is a frozenset of int ids and `edges` holds (min, max) pairs
+        in their final order.  Only for trees derived from a valid tree or
+        spanning tree, whose validity follows from the derivation.
+        """
+        tree = object.__new__(cls)
+        object.__setattr__(tree, "nodes", nodes)
+        object.__setattr__(tree, "edges", edges)
+        object.__setattr__(tree, "root", root)
+        return tree
+
+    @classmethod
+    def _wired(cls, nodes, edges, root: int | None, source: "Tree") -> "Tree":
+        """A tree on some of `source`'s nodes, joined by newly wired edges.
+
+        The ids come from `source`, so their types are not checked again,
+        but the structure is: a wiring bug raises DomainError instead of
+        returning something that is not a tree.
+        """
+        nodes = frozenset(nodes)
+        if not nodes <= source.nodes:
+            raise DomainError("a wired tree holds nodes outside its source tree")
+        edges = tuple(_normalize_edge(u, v) for u, v in edges)
+        _check_structure(nodes, edges, root)
+        return cls._from_valid(nodes, edges, root)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -109,7 +159,8 @@ class Tree:
             raise IdentifierError(f"node {root} is not in the tree")
         if root == self.root:
             return self
-        return Tree(self.nodes, self.edges, root=root)
+        _check_int_ids((root,), "tree root")
+        return Tree._from_valid(self.nodes, self.edges, root)
 
     @cached_property
     def _rooting(self) -> tuple[dict[int, int | None], dict[int, int], tuple[int, ...]]:
@@ -212,10 +263,9 @@ def minimum_spanning_tree(instance: MetricInstance, subset) -> Tree:
     points = sorted(set(subset))
     if not points:
         raise DomainError("cannot span an empty point set")
-    for p in points:
-        instance._check_id(p)
+    instance._check_ids(points)
     if len(points) == 1:
-        return Tree(frozenset(points), ())
+        return Tree._from_valid(frozenset(points), ())
     # rest[i] is outside the tree; its cheapest link into the tree is
     # (best[i], via[i]), and targets[i] is what its distances are read from.
     rest = points[1:]
@@ -258,27 +308,25 @@ def minimum_spanning_tree(instance: MetricInstance, subset) -> Tree:
                 best[j] = nd
                 via[j] = y
     chosen.sort()
-    return Tree(frozenset(points), tuple((u, v) for _, u, v in chosen))
+    return Tree._from_valid(frozenset(points), tuple((u, v) for _, u, v in chosen))
 
 
 def longest_edge(tree: Tree, instance: MetricInstance) -> tuple[tuple[int, int], float]:
     """The maximum-length edge and its length; ties go to the earliest edge."""
     if not tree.edges:
         raise DomainError("a single-node tree has no longest edge")
-    best_edge = tree.edges[0]
-    best = instance.distance(*best_edge)
-    for e in tree.edges[1:]:
-        w = instance.distance(*e)
-        if w > best:
-            best, best_edge = w, e
-    return best_edge, best
+    instance._check_ids(tree.nodes)
+    lengths = instance._lengths(tree.edges)
+    best = max(lengths)
+    return tree.edges[lengths.index(best)], best
 
 
 def bottleneck(tree: Tree, instance: MetricInstance) -> float:
     """Largest edge length of the tree; 0 for a single node."""
     if not tree.edges:
         return 0.0
-    return max(instance.distance(u, v) for u, v in tree.edges)
+    instance._check_ids(tree.nodes)
+    return max(instance._lengths(tree.edges))
 
 
 def forest_bottleneck(forest: Forest, instance: MetricInstance) -> float:
@@ -311,6 +359,7 @@ def split_tree_at_edge(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree]:
     e = _normalize_edge(*edge)
     if e not in tree.edge_set:
         raise DomainError(f"({edge[0]}, {edge[1]}) is not an edge of the tree")
+    _check_int_ids(e, "tree edge endpoint")
     u, v = e
     side_u = {u}
     stack = [u]
@@ -320,10 +369,10 @@ def split_tree_at_edge(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree]:
             if w not in side_u and _normalize_edge(x, w) != e:
                 side_u.add(w)
                 stack.append(w)
-    side_v = set(tree.nodes) - side_u
+    side_v = tree.nodes - side_u
     edges_u = tuple(f for f in tree.edges if f != e and f[0] in side_u)
     edges_v = tuple(f for f in tree.edges if f != e and f[0] in side_v)
-    return Tree(frozenset(side_u), edges_u), Tree(frozenset(side_v), edges_v)
+    return Tree._from_valid(frozenset(side_u), edges_u), Tree._from_valid(side_v, edges_v)
 
 
 def _cube_order(tree: Tree, spine: list[int]) -> list[int]:

@@ -126,6 +126,41 @@ def test_rows_are_float_tuples():
 @pytest.mark.parametrize(
     "points",
     [
+        {"coordinates": [["1.5"], [True], [2]]},
+        {"coordinates": [[1.5], [True], [2]]},
+        {"coordinates": [[0.5, "1"], [1.0, 2.0]]},
+        {"matrix": [[0, 1], [1, "0"]]},
+        {"matrix": [["0", 1.0], [1.0, 0.0]]},
+        {"matrix": [[0.0, True], [True, 0.0]]},
+        {"matrix": [[False, 1], [1, 0]]},
+        {"coordinates": ["12", "34"]},
+    ],
+)
+def test_strings_and_bools_are_not_numbers(points):
+    kind, rows = next(iter(points.items()))
+    with pytest.raises(DomainError):
+        MetricInstance(**{kind: rows})
+    with pytest.raises(DomainError):
+        parse_instance_document({"points": points})
+    with pytest.raises(DomainError):
+        parse_instance_document(json.loads(json.dumps({"points": points})))
+
+
+def test_number_subclasses_other_than_bool_pass():
+    class Real(float):
+        pass
+
+    class Whole(int):
+        pass
+
+    inst = MetricInstance.from_coordinates([[Real(0.5), Whole(2)], [1, 2.5]])
+    assert inst.coordinates == ((0.5, 2.0), (1.0, 2.5))
+    assert all(type(x) is float for row in inst.coordinates for x in row)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
         {"coordinates": [[0.0, 0.0], [float("nan"), 1.0]]},
         {"coordinates": [[0.0], [float("inf")]]},
         {"matrix": [[0.0, float("inf")], [float("inf"), 0.0]]},

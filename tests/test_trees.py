@@ -1,3 +1,4 @@
+import math
 import random
 from collections import defaultdict
 from itertools import combinations
@@ -8,21 +9,31 @@ from hypothesis import strategies as st
 
 from bottleneck_trees import (
     DomainError,
+    Forest,
+    IdentifierError,
     MetricInstance,
     Tree,
+    TuplePartition,
     bottleneck,
     cube_hamiltonian_cycle,
     cube_hamiltonian_path,
     cube_hamiltonian_path_between,
+    forest_bottleneck,
     hop_distance,
     longest_edge,
     minimum_spanning_tree,
+    solve_2gbst,
+    solve_dbst,
+    solve_pbst,
     split_tree_at_edge,
+    tour_bottleneck,
 )
 from bottleneck_trees.generators import (
     euclidean_instance,
+    random_clusters,
     random_metric_instance,
     random_tree,
+    random_tuples,
     spider_tree,
 )
 from bottleneck_trees.trees import tree_from_dict, tree_to_dict
@@ -390,3 +401,183 @@ def test_tree_rejects_non_integer_ids(nodes, edges, root):
 def test_tree_from_dict_rejects_malformed(doc):
     with pytest.raises(DomainError):
         tree_from_dict(doc)
+
+
+def _points(dim, n, rng, grid):
+    if grid:
+        return [tuple(float(rng.randrange(4)) for _ in range(dim)) for _ in range(n)]
+    return [tuple(rng.uniform(-1e3, 1e3) for _ in range(dim)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("grid", [False, True])
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_math_dist_is_symmetric_bit_for_bit(dim, grid):
+    # The MST tie-break and the unchecked distance reads take d(u, v) and
+    # d(v, u) to be the same float; integer grids repeat points.
+    rng = random.Random(100 * dim + grid)
+    pts = _points(dim, 60, rng, grid)
+    if grid:
+        assert len(set(pts)) < len(pts)
+    for a, b in combinations(pts, 2):
+        assert math.dist(a, b).hex() == math.dist(b, a).hex()
+
+
+@pytest.fixture
+def structure_checks(monkeypatch):
+    """The node sets of every structural tree check, in call order."""
+    import bottleneck_trees.trees as trees
+
+    calls = []
+    check = trees._check_structure
+
+    def counted(nodes, edges, root):
+        calls.append(nodes)
+        check(nodes, edges, root)
+
+    monkeypatch.setattr(trees, "_check_structure", counted)
+    return calls
+
+
+def test_derived_trees_skip_the_structure_check(structure_checks):
+    inst = euclidean_instance(2, 80, random.Random(8))
+    mst = minimum_spanning_tree(inst, inst.points())
+    rooted = mst.rooted_at(min(mst.leaves()))
+    assert rooted.rooted_at(rooted.root) is rooted
+    e, _ = longest_edge(mst, inst)
+    split_tree_at_edge(rooted, e)
+    minimum_spanning_tree(inst, [3])
+    assert structure_checks == []
+    Tree(frozenset({0, 1}), ((1, 0),))
+    assert structure_checks == [frozenset({0, 1})]
+
+
+def test_wired_tree_checks_structure():
+    source = Tree(frozenset(range(6)), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
+    piece = Tree._wired({4, 2, 0}, [(2, 0), (4, 2)], 0, source)
+    assert piece == Tree(frozenset({0, 2, 4}), ((0, 2), (2, 4)), root=0)
+    with pytest.raises(DomainError, match="cycle"):
+        Tree._wired({0, 1, 2, 3}, [(0, 1), (2, 1), (0, 2)], 0, source)
+    with pytest.raises(DomainError, match="outside its source"):
+        Tree._wired({0, 9}, [(0, 9)], 0, source)
+    with pytest.raises(DomainError):
+        Tree._wired({0, 1, 2}, [(0, 1)], 0, source)
+    with pytest.raises(DomainError):
+        Tree._wired({0, 1}, [(0, 1)], 2, source)
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+@pytest.mark.parametrize("kind", ["coordinates", "matrix"])
+def test_trusted_reads_range_check_user_trees(kind, bad):
+    # A negative id must not read coordinates or matrix rows from the end.
+    if kind == "coordinates":
+        inst = MetricInstance.from_coordinates([(0.0,), (1.0,), (5.0,)])
+    else:
+        inst = MetricInstance.from_matrix([[0, 1, 5], [1, 0, 4], [5, 4, 0]])
+    tree = Tree(frozenset({0, 1, bad}), ((0, 1), (1, bad)))
+    with pytest.raises(IdentifierError):
+        longest_edge(tree, inst)
+    with pytest.raises(IdentifierError):
+        bottleneck(tree, inst)
+    with pytest.raises(IdentifierError):
+        forest_bottleneck(Forest((Tree(frozenset({2}), ()), tree)), inst)
+    with pytest.raises(IdentifierError):
+        tour_bottleneck((0, 1, bad), inst)
+    with pytest.raises(IdentifierError):
+        tour_bottleneck([bad, 0, 1], inst)
+
+
+def test_trusted_reads_keep_the_id_type_checks():
+    inst = MetricInstance.from_coordinates([(0.0,), (1.0,), (5.0,)])
+    for bad in (True, 1.0, "1", None):
+        with pytest.raises(IdentifierError):
+            tour_bottleneck((0, bad, 2), inst)
+    for bad in (True, 1.0):
+        with pytest.raises(IdentifierError):
+            minimum_spanning_tree(inst, [0, bad, 2])
+    assert tour_bottleneck([2], inst) == 0.0
+    with pytest.raises(ValueError):
+        tour_bottleneck((), inst)
+
+
+def test_derived_trees_reject_bool_ids():
+    tree = Tree(frozenset({0, 1, 2}), ((0, 1), (1, 2)))
+    with pytest.raises(DomainError):
+        tree.rooted_at(True)
+    with pytest.raises(DomainError):
+        split_tree_at_edge(tree, (True, 2))
+    with pytest.raises(IdentifierError):
+        tree.rooted_at(1.5)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_dbst_checks_only_its_k_wired_trees(structure_checks, k):
+    rng = random.Random(20 + k)
+    inst = euclidean_instance(2, 240, rng)
+    result = solve_dbst(inst, random_tuples(240, k, rng))
+    assert not result.shortcut
+    assert structure_checks == [t.nodes for t in result.forest.trees]
+
+
+def test_dbst_shortcut_checks_nothing(structure_checks):
+    inst = MetricInstance.from_coordinates([(float(i),) for i in range(4)])
+    result = solve_dbst(inst, TuplePartition(k=2, tuples=((0, 3), (1, 2))))
+    assert result.shortcut
+    assert structure_checks == []
+
+
+def test_gbst_checks_only_t2(structure_checks):
+    rng = random.Random(9)
+    inst = euclidean_instance(2, 240, rng)
+    result = solve_2gbst(inst, random_clusters(240, rng, singletons=40))
+    assert structure_checks == [result.tree.nodes]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_pbst_checks_only_wired_pieces(structure_checks, monkeypatch, k):
+    # Checks run only inside the partition routines: never on the MST, its
+    # longest-edge splits, re-rootings or extracted subtrees.
+    import bottleneck_trees.pbst as pbst
+    import bottleneck_trees.trees as trees
+
+    depth = [0]
+    calls = {"partition_two": 0, "partition_three": 0, "partition_many": 0}
+
+    def tracked(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(pbst, name, tracked(name, getattr(pbst, name)))
+    outside = []
+    counted = trees._check_structure
+
+    def flagged(nodes, edges, root):
+        if not depth[0]:
+            outside.append(nodes)
+        counted(nodes, edges, root)
+
+    monkeypatch.setattr(trees, "_check_structure", flagged)
+    result = solve_pbst(euclidean_instance(2, 240, random.Random(30 + k)), k)
+    assert len(result.forest.trees) == k
+    assert outside == []
+    two, three, many = calls["partition_two"], calls["partition_three"], calls["partition_many"]
+    assert two + three + many >= 1
+    if k == 3:
+        # partition_three wires at most six trees of its own per call
+        assert 2 * two <= len(structure_checks) <= 2 * two + 6 * three
+    else:
+        assert len(structure_checks) == 2 * two + k * many
+
+
+def test_pbst_clean_splits_check_nothing(structure_checks):
+    coords = [(x + 0.1 * i,) for x in (0.0, 100.0, 250.0) for i in range(3)]
+    result = solve_pbst(MetricInstance.from_coordinates(coords), 3)
+    assert len(result.forest.trees) == 3
+    assert structure_checks == []
