@@ -1,15 +1,19 @@
-"""Write the golden corpus: seeded instance documents and the `bst` JSON of
-every solver on them, all produced through `bottleneck_trees.cli.main`.
+"""Write the golden corpus: seeded instance documents, the `bst` JSON of
+every solver on them, the exact oracles' JSON on the tiny ones, and one
+`bst batch` CSV, all produced through `bottleneck_trees.cli.main`.
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
 Existing files are never rewritten, so adding a case to INSTANCES and running
 the script adds only that case's files.  tests/test_golden.py byte-compares
-every output against a fresh run.
+every output against a fresh run (the batch CSV with its `millis` column
+blanked, the only part that varies between runs).
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 import sys
@@ -20,8 +24,13 @@ from bottleneck_trees.cli import main
 GOLDEN = Path(__file__).resolve().parent
 INSTANCES = GOLDEN / "instances"
 OUTPUTS = GOLDEN / "outputs"
+BATCH_CONFIG = GOLDEN / "batch-config.json"
+BATCH_OUTPUT = OUTPUTS / "batch.csv"
 
 PBST_KS = (2, 3, 4, 5)
+# Instances with at most this many points also get `--exact` and the
+# `oracle` subcommands; every exhaustive oracle is fast at this size.
+EXACT_MAX_POINTS = 9
 
 
 def _gen(*argv: str):
@@ -94,6 +103,37 @@ INSTANCES_SPEC = {
     "spider4": _gen("--kind", "fixture-spider", "--k", "4"),
     "spider5": _gen("--kind", "fixture-spider", "--k", "5"),
     "spider6": _gen("--kind", "fixture-spider", "--k", "6"),
+    "tiny-euclid-tuples2": _gen("--kind", "euclidean", "--n", "8", "--dim", "2",
+                                "--partition", "tuples", "--k", "2", "--seed", "51"),
+    "tiny-euclid-tuples3": _gen("--kind", "euclidean", "--n", "9", "--dim", "2",
+                                "--partition", "tuples", "--k", "3", "--seed", "52"),
+    "tiny-euclid-clusters": _gen("--kind", "euclidean", "--n", "7", "--dim", "2",
+                                 "--partition", "clusters", "--seed", "53"),
+    "tiny-metric-tuples2": _gen("--kind", "random-metric", "--n", "8",
+                                "--partition", "tuples", "--k", "2", "--seed", "61"),
+    "tiny-metric-tuples3": _gen("--kind", "random-metric", "--n", "9",
+                                "--partition", "tuples", "--k", "3", "--seed", "62"),
+    "tiny-metric-clusters": _gen("--kind", "random-metric", "--n", "9",
+                                 "--partition", "clusters", "--seed", "63"),
+    "fixture-gbst-path8": _gen("--kind", "fixture-gbst-path8"),
+}
+
+# One sweep over every problem; `exact` is true, false and absent.
+BATCH_SPEC = {
+    "seeds": [0, 1, 2],
+    "jobs": [
+        {"problem": "dbst", "exact": True,
+         "generator": {"kind": "euclidean", "n": 8, "dim": 2, "partition": "tuples", "k": 2}},
+        {"problem": "dbst", "exact": True,
+         "generator": {"kind": "random-metric", "n": 9, "partition": "tuples", "k": 3}},
+        {"problem": "gbst", "exact": True,
+         "generator": {"kind": "random-metric", "n": 7, "partition": "clusters"}},
+        {"problem": "gbst", "generator": {"kind": "fixture-gbst-path8"}},
+        {"problem": "pbst", "k": 2, "exact": True,
+         "generator": {"kind": "euclidean", "n": 8, "dim": 3}},
+        {"problem": "pbst", "k": 3, "exact": False,
+         "generator": {"kind": "random-metric", "n": 9}},
+    ],
 }
 
 
@@ -102,22 +142,41 @@ def solver_runs(doc: dict) -> list[tuple[str, list[str]]]:
 
     DBST runs where the document has tuples, GBST where it has clusters, and
     PBST at every k in PBST_KS that splits the points into groups of >= 3.
+    On at most EXACT_MAX_POINTS points the solvers also run `--exact`, and
+    `oracle` runs on every problem that applies and on the full tour.
     """
-    runs = []
-    if doc.get("tuples") is not None:
-        runs.append(("dbst", ["dbst", "--tours"]))
-    if doc.get("clusters") is not None:
-        runs.append(("gbst", ["gbst", "--tours"]))
     points = doc["points"]
     count = len(points.get("coordinates") or points.get("matrix"))
+    small = count <= EXACT_MAX_POINTS
+    tail = ["--exact", "--tours"] if small else ["--tours"]
+    problems = []
+    if doc.get("tuples") is not None:
+        problems.append(("dbst", ["dbst"]))
+    if doc.get("clusters") is not None:
+        problems.append(("gbst", ["gbst"]))
     for k in PBST_KS:
         if count % k == 0 and count // k >= 3:
-            runs.append((f"pbst-k{k}", ["pbst", "--k", str(k), "--tours"]))
+            problems.append((f"pbst-k{k}", ["pbst", "--k", str(k)]))
+    runs = [(suffix, [*argv, *tail]) for suffix, argv in problems]
+    if small:
+        runs += [(f"oracle-{suffix}", ["oracle", *argv]) for suffix, argv in problems]
+        runs.append(("oracle-tour", ["oracle", "tour"]))
     return runs
 
 
 def output_path(instance: Path, suffix: str) -> Path:
     return OUTPUTS / f"{instance.stem}.{suffix}.json"
+
+
+def blank_millis(text: str) -> str:
+    """A batch CSV with its `millis` column emptied."""
+    rows = list(csv.reader(io.StringIO(text)))
+    column = rows[0].index("millis")
+    for row in rows[1:]:
+        row[column] = ""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
 
 
 def main_script() -> int:
@@ -132,6 +191,14 @@ def main_script() -> int:
             out = output_path(path, suffix)
             if not out.exists() and main([*argv, "--input", str(path), "-o", str(out)]) != 0:
                 return 1
+    if not BATCH_CONFIG.exists():
+        _write_document(BATCH_SPEC, BATCH_CONFIG)
+    if not BATCH_OUTPUT.exists():
+        fresh = OUTPUTS / "batch.unblanked.csv"
+        if main(["batch", "--config", str(BATCH_CONFIG), "-o", str(fresh)]) != 0:
+            return 1
+        BATCH_OUTPUT.write_text(blank_millis(fresh.read_text(encoding="utf-8")), encoding="utf-8")
+        fresh.unlink()
     return 0
 
 

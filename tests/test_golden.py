@@ -1,7 +1,8 @@
 """Byte-identity of the CLI against the golden corpus in tests/golden/.
 
 The corpus was written once by tests/golden/make_golden.py; a refactor that
-changes any solver's JSON, tie-break included, fails here.
+changes any solver's or oracle's JSON, tie-break included, or any batch CSV
+field but `millis`, fails here.
 """
 
 import importlib.util
@@ -32,8 +33,10 @@ def _runs(instance: Path):
 def test_corpus_is_complete():
     assert {p.stem for p in INSTANCE_PATHS} == set(make_golden.INSTANCES_SPEC)
     expected = {out.name for p in INSTANCE_PATHS for out, _ in _runs(p)}
-    on_disk = {p.name for p in make_golden.OUTPUTS.glob("*.json")}
+    expected.add(make_golden.BATCH_OUTPUT.name)
+    on_disk = {p.name for p in make_golden.OUTPUTS.iterdir()}
     assert on_disk == expected
+    assert make_golden.BATCH_CONFIG.exists()
 
 
 @pytest.mark.parametrize("instance", INSTANCE_PATHS, ids=lambda p: p.stem)
@@ -42,3 +45,10 @@ def test_outputs_are_byte_identical(instance, tmp_path):
         fresh = tmp_path / golden.name
         assert main([*argv, "--input", str(instance), "-o", str(fresh)]) == 0
         assert fresh.read_bytes() == golden.read_bytes(), golden.name
+
+
+def test_batch_is_byte_identical(tmp_path):
+    fresh = tmp_path / "batch.csv"
+    assert main(["batch", "--config", str(make_golden.BATCH_CONFIG), "-o", str(fresh)]) == 0
+    blanked = make_golden.blank_millis(fresh.read_text(encoding="utf-8"))
+    assert blanked == make_golden.BATCH_OUTPUT.read_text(encoding="utf-8")
