@@ -1,9 +1,12 @@
 """Command-line front end: instance generation, the three solvers, the
 exact oracles, and batch experiment sweeps writing CSV.
 
-Results are emitted as JSON with sorted keys, so identical inputs produce
-byte-identical outputs.  Malformed input exits with status 2 and a
-diagnostic on stderr.
+One table, PROBLEMS, maps each problem to the argument its solver takes
+besides the instance, its solver and exact oracle, and its result fields;
+the solver subcommands, `oracle` (all but `tour`), `batch` and the result
+serializers all read it.  Results are emitted as JSON with sorted keys, so
+identical inputs produce byte-identical outputs.  Malformed input exits
+with status 2 and a diagnostic on stderr.
 """
 
 from __future__ import annotations
@@ -13,11 +16,12 @@ import csv
 import json
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .dbst import DbstResult, solve_dbst
 from .errors import BottleneckTreeError
 from .gbst import GbstResult, solve_2gbst
-from .generators import Generated, generate
+from .generators import generate
 from .metric import (
     InstanceDocument,
     _is_int,
@@ -28,6 +32,30 @@ from .oracle import exact_bottleneck_tour, exact_dbst, exact_gbst, exact_pbst
 from .pbst import PbstResult, solve_pbst
 from .tours import lift_to_tours
 from .trees import Forest, tree_to_dict
+
+
+class Problem(NamedTuple):
+    argument: str  # "tuples" or "clusters" (an InstanceDocument field), or "k"
+    solve: Callable  # (instance, argument) -> result
+    exact: Callable  # (instance, argument) -> (Forest or Tree, optimum)
+    trees: Callable  # result -> its Forest, or GBST's one Tree
+    fields: Callable  # result -> its problem-specific JSON fields
+
+
+PROBLEMS = {
+    "dbst": Problem(
+        "tuples", solve_dbst, exact_dbst, lambda r: r.forest,
+        lambda r: {"mst_bottleneck": r.mst_bottleneck, "labels": list(r.labels)},
+    ),
+    "gbst": Problem(
+        "clusters", solve_2gbst, exact_gbst, lambda r: r.tree,
+        lambda r: {"selected": r.selection.selected_nodes()},
+    ),
+    "pbst": Problem(
+        "k", solve_pbst, exact_pbst, lambda r: r.forest,
+        lambda r: {"mst_bottleneck": r.mst_bottleneck},
+    ),
+}
 
 
 def _dumps(obj) -> str:
@@ -48,76 +76,78 @@ def _load_document(path: str) -> InstanceDocument:
     return parse_instance_document(doc)
 
 
+def _require(condition: bool, message: str) -> None:
+    if not condition:
+        raise BottleneckTreeError(message)
+
+
+def _field(mapping, key: str, owner: str):
+    """mapping[key], or a BottleneckTreeError naming what `owner` lacks."""
+    _require(isinstance(mapping, dict) and key in mapping, f"{owner} needs a {key!r} field")
+    return mapping[key]
+
+
+def _argument(name: str, doc: InstanceDocument, k, owner: str):
+    """What PROBLEMS[name].solve takes besides the instance: the document's
+    tuples or clusters, or the given k."""
+    field = PROBLEMS[name].argument
+    if field == "k":
+        _require(_is_int(k), f"{owner} needs an integer 'k', got {k!r}")
+        return k
+    value = getattr(doc, field)
+    _require(value is not None, f"{owner} needs an instance with {field!r}")
+    return value
+
+
 def _ratio(achieved: float, optimal: float) -> float:
     if optimal == 0.0 and achieved == 0.0:
         return 1.0
     return achieved / optimal
 
 
-def dbst_result_to_dict(
-    result: DbstResult, doc: InstanceDocument, exact: bool, tours: bool
+def _trees_to_dict(trees) -> dict:
+    """A Forest as "trees", GBST's single Tree as "tree"."""
+    if isinstance(trees, Forest):
+        return {"trees": [tree_to_dict(t) for t in trees.trees]}
+    return {"tree": tree_to_dict(trees)}
+
+
+def _result_to_dict(
+    name: str, result, doc: InstanceDocument, argument, exact: bool, tours: bool
 ) -> dict:
-    out = {
-        "trees": [tree_to_dict(t) for t in result.forest.trees],
-        "bottleneck": result.bottleneck,
-        "mst_bottleneck": result.mst_bottleneck,
-        "labels": list(result.labels),
-    }
+    """The JSON of a solver result, with the optimum and ratio if `exact`
+    and the lifted tours if `tours`."""
+    problem = PROBLEMS[name]
+    trees = problem.trees(result)
+    out = {"bottleneck": result.bottleneck, **_trees_to_dict(trees), **problem.fields(result)}
     if exact:
-        assert doc.tuples is not None
-        _, optimal = exact_dbst(doc.instance, doc.tuples)
+        _, optimal = problem.exact(doc.instance, argument)
         out["optimal"] = optimal
         out["ratio"] = _ratio(result.bottleneck, optimal)
     if tours:
-        lifted = lift_to_tours(result.forest, doc.instance)
+        forest = trees if isinstance(trees, Forest) else Forest((trees,))
+        lifted = lift_to_tours(forest, doc.instance)
         out["tours"] = [list(t) for t in lifted.tour_set.tours]
         out["tour_bottleneck"] = lifted.bottleneck
     return out
+
+
+def dbst_result_to_dict(
+    result: DbstResult, doc: InstanceDocument, exact: bool, tours: bool
+) -> dict:
+    return _result_to_dict("dbst", result, doc, doc.tuples, exact, tours)
 
 
 def gbst_result_to_dict(
     result: GbstResult, doc: InstanceDocument, exact: bool, tours: bool
 ) -> dict:
-    out = {
-        "tree": tree_to_dict(result.tree),
-        "selected": result.selection.selected_nodes(),
-        "bottleneck": result.bottleneck,
-    }
-    if exact:
-        assert doc.clusters is not None
-        _, optimal = exact_gbst(doc.instance, doc.clusters)
-        out["optimal"] = optimal
-        out["ratio"] = _ratio(result.bottleneck, optimal)
-    if tours:
-        lifted = lift_to_tours(Forest((result.tree,)), doc.instance)
-        out["tours"] = [list(t) for t in lifted.tour_set.tours]
-        out["tour_bottleneck"] = lifted.bottleneck
-    return out
+    return _result_to_dict("gbst", result, doc, doc.clusters, exact, tours)
 
 
 def pbst_result_to_dict(
     result: PbstResult, doc: InstanceDocument, k: int, exact: bool, tours: bool
 ) -> dict:
-    out = {
-        "trees": [tree_to_dict(t) for t in result.forest.trees],
-        "bottleneck": result.bottleneck,
-        "mst_bottleneck": result.mst_bottleneck,
-    }
-    if exact:
-        _, optimal = exact_pbst(doc.instance, k)
-        out["optimal"] = optimal
-        out["ratio"] = _ratio(result.bottleneck, optimal)
-    if tours:
-        lifted = lift_to_tours(result.forest, doc.instance)
-        out["tours"] = [list(t) for t in lifted.tour_set.tours]
-        out["tour_bottleneck"] = lifted.bottleneck
-    return out
-
-
-def _generated_to_document(gen: Generated) -> InstanceDocument:
-    return InstanceDocument(
-        instance=gen.instance, tuples=gen.tuples, clusters=gen.clusters
-    )
+    return _result_to_dict("pbst", result, doc, k, exact, tours)
 
 
 def _cmd_gen(args) -> int:
@@ -130,75 +160,26 @@ def _cmd_gen(args) -> int:
     }
     if args.singletons is not None:
         params["singletons"] = args.singletons
-    gen = generate(args.kind, params, args.seed)
-    doc = instance_document_to_dict(_generated_to_document(gen))
+    doc = instance_document_to_dict(generate(args.kind, params, args.seed))
     _write_output(_dumps(doc), args.output)
     return 0
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise BottleneckTreeError(message)
-
-
-def _field(mapping, key: str, owner: str):
-    """mapping[key], or a BottleneckTreeError naming what `owner` lacks."""
-    _require(isinstance(mapping, dict) and key in mapping, f"{owner} needs a {key!r} field")
-    return mapping[key]
-
-
-def _cmd_dbst(args) -> int:
+def _cmd_solve(args) -> int:
     doc = _load_document(args.input)
-    _require(doc.tuples is not None, "dbst needs an instance file with 'tuples'")
-    assert doc.tuples is not None
-    result = solve_dbst(doc.instance, doc.tuples)
-    _write_output(_dumps(dbst_result_to_dict(result, doc, args.exact, args.tours)), args.output)
-    return 0
-
-
-def _cmd_gbst(args) -> int:
-    doc = _load_document(args.input)
-    _require(doc.clusters is not None, "gbst needs an instance file with 'clusters'")
-    assert doc.clusters is not None
-    result = solve_2gbst(doc.instance, doc.clusters)
-    _write_output(_dumps(gbst_result_to_dict(result, doc, args.exact, args.tours)), args.output)
-    return 0
-
-
-def _cmd_pbst(args) -> int:
-    doc = _load_document(args.input)
-    result = solve_pbst(doc.instance, args.k)
-    _write_output(
-        _dumps(pbst_result_to_dict(result, doc, args.k, args.exact, args.tours)),
-        args.output,
-    )
+    argument = _argument(args.problem, doc, getattr(args, "k", None), args.problem)
+    result = PROBLEMS[args.problem].solve(doc.instance, argument)
+    out = _result_to_dict(args.problem, result, doc, argument, args.exact, args.tours)
+    _write_output(_dumps(out), args.output)
     return 0
 
 
 def _cmd_oracle(args) -> int:
     doc = _load_document(args.input)
-    if args.problem == "dbst":
-        _require(doc.tuples is not None, "oracle dbst needs 'tuples' in the instance file")
-        assert doc.tuples is not None
-        forest, optimal = exact_dbst(doc.instance, doc.tuples)
-        out = {
-            "problem": "dbst",
-            "optimal": optimal,
-            "trees": [tree_to_dict(t) for t in forest.trees],
-        }
-    elif args.problem == "gbst":
-        _require(doc.clusters is not None, "oracle gbst needs 'clusters' in the instance file")
-        assert doc.clusters is not None
-        tree, optimal = exact_gbst(doc.instance, doc.clusters)
-        out = {"problem": "gbst", "optimal": optimal, "tree": tree_to_dict(tree)}
-    elif args.problem == "pbst":
-        _require(args.k is not None, "oracle pbst needs --k")
-        forest, optimal = exact_pbst(doc.instance, args.k)
-        out = {
-            "problem": "pbst",
-            "optimal": optimal,
-            "trees": [tree_to_dict(t) for t in forest.trees],
-        }
+    if args.problem in PROBLEMS:
+        argument = _argument(args.problem, doc, args.k, f"oracle {args.problem}")
+        found, optimal = PROBLEMS[args.problem].exact(doc.instance, argument)
+        out = {"problem": args.problem, "optimal": optimal, **_trees_to_dict(found)}
     else:
         subset = list(doc.instance.points())
         if args.subset:
@@ -215,38 +196,24 @@ def _cmd_oracle(args) -> int:
 
 
 def _batch_record(job: dict, seed: int) -> dict:
-    problem = _field(job, "problem", "a batch job")
+    name = _field(job, "problem", "a batch job")
+    _require(isinstance(name, str) and name in PROBLEMS, f"unknown batch problem {name!r}")
+    problem = PROBLEMS[name]
     generator = _field(job, "generator", "a batch job")
     kind = _field(generator, "kind", "a batch job's generator")
-    gen = generate(kind, generator, seed)
-    doc = _generated_to_document(gen)
-    exact = bool(job.get("exact", False))
+    doc = generate(kind, generator, seed)
+    exact = job.get("exact", False)
+    _require(isinstance(exact, bool), f"a batch job's 'exact' must be true or false, got {exact!r}")
+    argument = _argument(name, doc, job.get("k"), f"a {name} batch job")
     started = time.perf_counter()
-    if problem == "dbst":
-        _require(doc.tuples is not None, "dbst batch job generated no tuples")
-        assert doc.tuples is not None
-        achieved = solve_dbst(doc.instance, doc.tuples).bottleneck
-        k = doc.tuples.k
-        optimal = exact_dbst(doc.instance, doc.tuples)[1] if exact else None
-    elif problem == "gbst":
-        _require(doc.clusters is not None, "gbst batch job generated no clusters")
-        assert doc.clusters is not None
-        achieved = solve_2gbst(doc.instance, doc.clusters).bottleneck
-        k = 2
-        optimal = exact_gbst(doc.instance, doc.clusters)[1] if exact else None
-    elif problem == "pbst":
-        k = _field(job, "k", "a pbst batch job")
-        _require(_is_int(k), f"a pbst batch job's 'k' must be an integer, got {k!r}")
-        achieved = solve_pbst(doc.instance, k).bottleneck
-        optimal = exact_pbst(doc.instance, k)[1] if exact else None
-    else:
-        raise BottleneckTreeError(f"unknown batch problem {problem!r}")
+    achieved = problem.solve(doc.instance, argument).bottleneck
+    optimal = problem.exact(doc.instance, argument)[1] if exact else None
     millis = (time.perf_counter() - started) * 1000.0
     return {
         "generator": kind,
         "seed": seed,
-        "problem": problem,
-        "k": k,
+        "problem": name,
+        "k": getattr(argument, "k", argument),
         "n": doc.instance.point_count,
         "achieved": achieved,
         "optimal": optimal if optimal is not None else "",
@@ -312,22 +279,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--output", "-o", default=None)
     p_gen.set_defaults(func=_cmd_gen)
 
-    for name, func, needs_k in (
-        ("dbst", _cmd_dbst, False),
-        ("gbst", _cmd_gbst, False),
-        ("pbst", _cmd_pbst, True),
-    ):
+    for name, problem in PROBLEMS.items():
         p = sub.add_parser(name, help=f"solve {name} on an instance file")
         p.add_argument("--input", required=True)
         p.add_argument("--output", "-o", default=None)
         p.add_argument("--exact", action="store_true", help="also run the exact oracle")
         p.add_argument("--tours", action="store_true", help="lift trees to TSP tours")
-        if needs_k:
+        if problem.argument == "k":
             p.add_argument("--k", type=int, required=True)
-        p.set_defaults(func=func)
+        p.set_defaults(func=_cmd_solve, problem=name)
 
     p_oracle = sub.add_parser("oracle", help="run an exact solver alone")
-    p_oracle.add_argument("problem", choices=["dbst", "gbst", "pbst", "tour"])
+    p_oracle.add_argument("problem", choices=[*PROBLEMS, "tour"])
     p_oracle.add_argument("--input", required=True)
     p_oracle.add_argument("--k", type=int, default=None)
     p_oracle.add_argument("--subset", default=None, help="comma-separated point ids (tour)")
@@ -347,7 +310,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (BottleneckTreeError, json.JSONDecodeError, OSError) as exc:
+    except (BottleneckTreeError, json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

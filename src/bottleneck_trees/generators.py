@@ -9,18 +9,10 @@ identical calls produce identical instances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .errors import DomainError
-from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
+from .metric import ClusterPartition, InstanceDocument, MetricInstance, TuplePartition, _is_int
 from .trees import Tree
-
-
-@dataclass(frozen=True)
-class Generated:
-    instance: MetricInstance
-    tuples: TuplePartition | None = None
-    clusters: ClusterPartition | None = None
 
 
 def random_tree(n: int, rng: random.Random) -> Tree:
@@ -152,7 +144,7 @@ def spider_instance(k: int) -> MetricInstance:
     return path_metric(spider_tree(k))
 
 
-def gbst_path8() -> Generated:
+def gbst_path8() -> InstanceDocument:
     """Unit-spaced 8-point line with the clustered layout whose optimum is 3.
 
     Positions 0..7 hold a, b1, c1, d1, c2, d2, b2, e; the singletons a and e
@@ -171,7 +163,7 @@ def gbst_path8() -> Generated:
         raise DomainError(
             f"the 8-node path fixture must have optimum 3, got {optimum}"
         )
-    return Generated(instance=instance, clusters=clusters)
+    return InstanceDocument(instance=instance, clusters=clusters)
 
 
 def _int_param(params: dict, name: str, default: int | None) -> int | None:
@@ -184,8 +176,8 @@ def _int_param(params: dict, name: str, default: int | None) -> int | None:
     return value
 
 
-def generate(kind: str, params: dict, seed: int) -> Generated:
-    """Build a named instance (plus partitions where they apply).
+def generate(kind: str, params: dict, seed: int) -> InstanceDocument:
+    """Build a named instance document (plus partitions where they apply).
 
     Kinds: euclidean(dim, n [, partition, k, singletons]),
     random-metric(n [, partition, k, singletons]), fixture-star(leaves),
@@ -201,19 +193,19 @@ def generate(kind: str, params: dict, seed: int) -> Generated:
         partition = params.get("partition", "none")
         if partition == "tuples":
             k = _int_param(params, "k", 2)
-            return Generated(instance=instance, tuples=random_tuples(n, k, rng))
+            return InstanceDocument(instance=instance, tuples=random_tuples(n, k, rng))
         if partition == "clusters":
             singletons = _int_param(params, "singletons", None)
-            return Generated(
+            return InstanceDocument(
                 instance=instance, clusters=random_clusters(n, rng, singletons)
             )
         if partition == "none":
-            return Generated(instance=instance)
+            return InstanceDocument(instance=instance)
         raise DomainError(f"unknown partition kind {partition!r}")
     if kind == "fixture-star":
-        return Generated(instance=star_instance(_int_param(params, "leaves", 3)))
+        return InstanceDocument(instance=star_instance(_int_param(params, "leaves", 3)))
     if kind == "fixture-spider":
-        return Generated(instance=spider_instance(_int_param(params, "k", 4)))
+        return InstanceDocument(instance=spider_instance(_int_param(params, "k", 4)))
     if kind == "fixture-gbst-path8":
         return gbst_path8()
     raise DomainError(f"unknown generator kind {kind!r}")

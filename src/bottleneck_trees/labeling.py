@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlgorithmInvariantError, PartitionError
+from .metric import _check_disjoint_groups, _point_ids
 
 _INF = float("inf")
 
@@ -24,31 +25,20 @@ class Labeling:
     k: int
 
 
-def _normalize_groups(groups, what: str) -> list[tuple[int, ...]]:
-    out = [tuple(sorted(int(p) for p in g)) for g in groups]
-    if not out:
-        raise PartitionError(f"{what} must contain at least one group")
-    return out
-
-
 def _validate_double_partition(a_groups, b_groups):
-    a = _normalize_groups(a_groups, "first partition")
-    b = _normalize_groups(b_groups, "second partition")
+    a = [_point_ids(g, "first partition") for g in a_groups]
+    b = [_point_ids(g, "second partition") for g in b_groups]
+    if not a or not b:
+        raise PartitionError("both partitions must contain at least one group")
     if len(a) != len(b):
         raise PartitionError("both partitions must have the same number of groups")
     size = len(a[0])
-    for fam_name, fam in (("first", a), ("second", b)):
-        seen: set[int] = set()
-        for g in fam:
-            if len(g) != size:
-                raise PartitionError(f"{fam_name} partition has groups of unequal size")
-            for p in g:
-                if p in seen:
-                    raise PartitionError(f"{fam_name} partition repeats element {p}")
-                seen.add(p)
-    universe_a = {p for g in a for p in g}
-    universe_b = {p for g in b for p in g}
-    if universe_a != universe_b:
+    universes = []
+    for name, family in (("first", a), ("second", b)):
+        if any(len(g) != size for g in family):
+            raise PartitionError(f"{name} partition has groups of unequal size")
+        universes.append(_check_disjoint_groups(family, f"{name} partition group"))
+    if universes[0] != universes[1]:
         raise PartitionError("the two partitions must cover the same universe")
     return a, b, size
 

@@ -207,13 +207,15 @@ def _point_ids(group, what: str) -> tuple[int, ...]:
     return tuple(sorted(ids))
 
 
-def _check_disjoint_groups(groups, what: str) -> None:
+def _check_disjoint_groups(groups, what: str) -> set[int]:
+    """The union of the groups, which must not share or repeat a point."""
     seen: set[int] = set()
     for group in groups:
         for p in group:
             if p in seen:
                 raise PartitionError(f"point {p} appears in more than one {what}")
             seen.add(p)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -231,8 +233,7 @@ class TuplePartition:
             raise PartitionError("at least one tuple is required")
         if any(len(g) != self.k for g in groups):
             raise PartitionError(f"every tuple must have exactly {self.k} points")
-        _check_disjoint_groups(groups, "tuple")
-        universe = {p for g in groups for p in g}
+        universe = _check_disjoint_groups(groups, "tuple")
         expected = set(range(self.k * len(groups)))
         if universe != expected:
             raise PartitionError(

@@ -310,9 +310,7 @@ def test_criterion_8_labeling():
 @criterion(9, "identical seeds produce byte-identical serialized outputs")
 def test_criterion_9_determinism():
     def generated_bytes(kind, params, seed):
-        gen = generate(kind, dict(params), seed)
-        doc = InstanceDocument(instance=gen.instance, tuples=gen.tuples, clusters=gen.clusters)
-        return _dumps(instance_document_to_dict(doc))
+        return _dumps(instance_document_to_dict(generate(kind, dict(params), seed)))
 
     gen_specs = [
         ("euclidean", {"n": 10, "dim": 2, "partition": "tuples", "k": 2}, 7),

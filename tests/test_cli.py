@@ -90,6 +90,15 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command, flag", [("dbst", "--input"), ("batch", "--config")])
+def test_non_utf8_input_exits_two(tmp_path, capsys, command, flag):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    code, _, err = _run(capsys, command, flag, str(bad))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_missing_partition_exits_two(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert main(["gen", "--kind", "euclidean", "--n", "6", "--seed", "0", "-o", str(inst)]) == 0
@@ -161,10 +170,12 @@ _GEN = {"kind": "euclidean", "n": 6, "dim": 2}
         ({"seeds": "ab", "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
         ({"seeds": [0, "1"], "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
         ({"seeds": True, "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
+        ({"seeds": 1, "jobs": [{"problem": "pbst", "k": 2, "exact": "no",
+                                "generator": _GEN}]}, "'exact'"),
     ],
     ids=["no-jobs", "jobs-not-list", "no-problem", "no-generator", "no-k",
          "no-kind", "k-string", "k-float", "k-bool", "n-string", "singletons-string",
-         "seeds-float", "seeds-string", "seeds-list-of-strings", "seeds-bool"],
+         "seeds-float", "seeds-string", "seeds-list-of-strings", "seeds-bool", "exact-string"],
 )
 def test_malformed_batch_config_exits_two(tmp_path, capsys, config, named):
     path = tmp_path / "batch.json"

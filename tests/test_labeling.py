@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottleneck_trees import (
+    DomainError,
     Labeling,
     PartitionError,
     is_valid_labeling,
@@ -81,6 +82,10 @@ def test_invalid_double_partitions():
         representatives([(0, 1)], [(0, 1), (2, 3)])  # different group counts
     with pytest.raises(PartitionError):
         konig_labeling([(0, 1)], [(0, 1)], 3)  # size mismatch with k
+    with pytest.raises(PartitionError, match="point 0"):
+        representatives([(0, 0)], [(0, 0)])  # repeat inside a group
+    with pytest.raises(PartitionError, match="point 1"):
+        konig_labeling([(0, 1), (2, 3)], [(0, 1), (1, 3)], 2)  # repeat across groups
 
 
 @given(
@@ -104,3 +109,22 @@ def test_labels_cover_universe():
     lab = konig_labeling(a, b, 3)
     assert set(lab.labels) == set(range(12))
     assert set(lab.labels.values()) == {0, 1, 2}
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        ([[1.5, 2.0]], [[1.0, 2]]),
+        ([[True, 0]], [[1, 0]]),
+        ([["0", 1]], [[0, 1]]),
+        ([[0, 1]], [[0, None]]),
+    ],
+    ids=["floats", "bool", "string", "none"],
+)
+def test_non_integer_ids_raise_domain_error(a, b):
+    with pytest.raises(DomainError, match="not an integer"):
+        representatives(a, b)
+    with pytest.raises(DomainError, match="not an integer"):
+        konig_labeling(a, b, 2)
+    with pytest.raises(DomainError, match="not an integer"):
+        is_valid_labeling(Labeling(labels={0: 0, 1: 1}, k=2), a, b)
