@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import combinations
 
@@ -292,3 +293,45 @@ def test_star_instances_have_tight_two_bound():
         inst = star_instance(leaves)
         _, optimal = exact_pbst(inst, k)
         assert optimal == 2.0
+
+
+def _shaped_tree(shape, n, rng):
+    """A tree of one of five shapes on shuffled labels 0..n-1."""
+    if shape == "recursive":
+        edges = [(rng.randrange(i), i) for i in range(1, n)]
+    elif shape == "path":
+        edges = [(i, i + 1) for i in range(n - 1)]
+    elif shape == "star":
+        edges = [(0, i) for i in range(1, n)]
+    elif shape == "caterpillar":
+        spine = rng.randint(1, n)
+        edges = [(i, i + 1) for i in range(spine - 1)]
+        edges += [(rng.randrange(spine), i) for i in range(spine, n)]
+    else:  # broom: a handle ending in a star of bristles
+        handle = rng.randint(1, n)
+        edges = [(i, i + 1) for i in range(handle - 1)]
+        edges += [(handle - 1, i) for i in range(handle, n)]
+    labels = list(range(n))
+    rng.shuffle(labels)
+    root = rng.randrange(n) if rng.random() < 0.5 else None
+    return Tree(frozenset(labels), tuple((labels[u], labels[v]) for u, v in edges), root=root)
+
+
+def test_partition_outputs_are_pinned():
+    # Exact nodes, edge order and roots of the 2- and 3-way partitions on
+    # seeded trees that reach every branch of partition_three, so any
+    # rewrite of the cut must return byte-identical pieces.
+    rng = random.Random(10)
+    shapes = ("recursive", "path", "star", "caterpillar", "broom")
+    outputs = []
+    for i in range(200):
+        n = 3 * rng.randint(1, 30)
+        tree = _shaped_tree(shapes[i % 5], n, rng)
+        outputs.extend(partition_three(tree))
+        if n > 3:
+            for size_r in sorted({1, n // 3, n // 2, rng.randint(1, n - 1), n - 1}):
+                outputs.extend(partition_two(tree, size_r))
+    digest = hashlib.sha256(
+        repr([(sorted(t.nodes), t.edges, t.root) for t in outputs]).encode()
+    ).hexdigest()
+    assert digest == "39f061274d42e32adac5cd213a16efe3223c8633e6aefa47c40828799dca7eb5"
