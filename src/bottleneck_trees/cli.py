@@ -19,7 +19,7 @@ import time
 from typing import Callable, NamedTuple
 
 from .dbst import DbstResult, solve_dbst
-from .errors import BottleneckTreeError
+from .errors import BottleneckTreeError, DomainError
 from .gbst import GbstResult, solve_2gbst
 from .generators import generate
 from .metric import (
@@ -70,10 +70,17 @@ def _write_output(text: str, path: str | None) -> None:
             handle.write(text)
 
 
-def _load_document(path: str) -> InstanceDocument:
+def _read_json(path: str):
+    """The JSON value in a UTF-8 file; nesting too deep to decode is a DomainError."""
     with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    return parse_instance_document(doc)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise DomainError(f"{path} is nested too deeply to decode") from None
+
+
+def _load_document(path: str) -> InstanceDocument:
+    return parse_instance_document(_read_json(path))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -236,8 +243,7 @@ BATCH_COLUMNS = [
 
 
 def _cmd_batch(args) -> int:
-    with open(args.config, "r", encoding="utf-8") as handle:
-        config = json.load(handle)
+    config = _read_json(args.config)
     jobs = _field(config, "jobs", "a batch config")
     _require(isinstance(jobs, list), "a batch config's 'jobs' must be a list")
     seeds = config.get("seeds", 10)

@@ -16,7 +16,7 @@ from heapq import heapify, heappop, heappush
 
 from .errors import AlgorithmInvariantError, DomainError, PartitionError
 from .labeling import Labeling, konig_labeling
-from .metric import MetricInstance, TuplePartition
+from .metric import MetricInstance, TuplePartition, _is_int
 from .trees import (
     Forest,
     Tree,
@@ -62,8 +62,8 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     """
     if tree.root is None:
         raise DomainError("bucketize needs a rooted tree")
-    if k < 1:
-        raise DomainError(f"bucketize needs k >= 1, got {k}")
+    if not _is_int(k) or k < 1:
+        raise DomainError(f"bucketize needs an integer k >= 1, got {k!r}")
     count = len(tree.nodes)
     if count % k != 0:
         raise PartitionError(f"node count {count} is not divisible by k={k}")

@@ -24,7 +24,7 @@ def random_tree(n: int, rng: random.Random) -> Tree:
 
 
 def random_tuples(n_points: int, k: int, rng: random.Random) -> TuplePartition:
-    if n_points % k != 0:
+    if k < 2 or n_points % k != 0:
         raise DomainError(f"{n_points} points cannot form tuples of size {k}")
     ids = list(range(n_points))
     rng.shuffle(ids)

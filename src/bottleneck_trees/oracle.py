@@ -13,7 +13,7 @@ from itertools import permutations, product
 from math import comb
 
 from .errors import DomainError, OracleSizeError, PartitionError
-from .metric import ClusterPartition, MetricInstance, TuplePartition
+from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
 from .trees import Forest, Tree, minimum_spanning_tree
 
 
@@ -124,8 +124,8 @@ def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
     anchored at its smallest unassigned point, killing group symmetry).
     """
     total = instance.point_count
-    if k < 2:
-        raise DomainError("exact_pbst needs k >= 2")
+    if not _is_int(k) or k < 2:
+        raise DomainError(f"exact_pbst needs an integer k >= 2, got {k!r}")
     if total % k != 0:
         raise PartitionError(f"{total} points cannot split into k={k} equal groups")
     n = total // k

@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 
 from .errors import AlgorithmInvariantError, DomainError, PartitionError
-from .metric import MetricInstance
+from .metric import MetricInstance, _is_int
 from .trees import (
     Forest,
     Tree,
@@ -37,14 +37,61 @@ def _edges_within(edges, nodes) -> tuple[tuple[int, int], ...]:
     return tuple(e for e in edges if e[0] in nodes and e[1] in nodes)
 
 
-def _extract_subtree(t: Tree, v: int) -> Tree:
-    sub = frozenset(t.subtree_nodes(v))
-    return Tree._from_valid(sub, _edges_within(t.edges, sub), v)
+def _cut(t: Tree, v: int) -> tuple[Tree, Tree]:
+    """The subtree of t at v, rooted at v, and the rest of t."""
+    below = frozenset(t.subtree_nodes(v))
+    rest = t.nodes - below
+    return (
+        Tree._from_valid(below, _edges_within(t.edges, below), v),
+        Tree._from_valid(rest, _edges_within(t.edges, rest), t.root),
+    )
 
 
-def _remove_subtree(t: Tree, v: int) -> Tree:
-    rest = t.nodes - t.subtree_nodes(v)
-    return Tree._from_valid(rest, _edges_within(t.edges, rest), t.root)
+def _hang(t: Tree, x: int, u: int) -> Tree:
+    """The subtree of t at u with u's parent x hung on top as its root."""
+    below = t.subtree_nodes(u)
+    return Tree._wired(below | {x}, _edges_within(t.edges, below) + ((x, u),), x, t)
+
+
+def _regraft(edges, nodes, keep: Tree | None) -> tuple[tuple[int, int], ...]:
+    """The edges inside `nodes`, with those inside `keep` swapped for keep's own.
+
+    The surviving edges keep their order; keep's edges go last.
+    """
+    if keep is None:
+        return _edges_within(edges, nodes)
+    inner = keep.nodes
+    kept = (e for e in _edges_within(edges, nodes) if not (e[0] in inner and e[1] in inner))
+    return (*kept, *keep.edges)
+
+
+def _peel(
+    t: Tree, x: int, kids: list[int], size: dict[int, int], n: int
+) -> tuple[Tree, Tree, Tree, int]:
+    """Peel a tree of n nodes off the children of x, whose subtree has more.
+
+    kids[:j] is the longest prefix whose subtrees hold fewer than n nodes
+    together.  The piece takes those subtrees whole and completes them with
+    the part that a two-way split gives away of kids[j]'s subtree, with x
+    hung on top; every kids[:j] links to kids[j], the piece's root.  The
+    other part of that split, `keep`, holds x and is regrafted into the rest
+    of t in place of the edges it replaces.  Returns (piece, rest, keep, j).
+    """
+    acc = j = 0
+    while acc + size[kids[j]] < n:
+        acc += size[kids[j]]
+        j += 1
+    uj = kids[j]
+    hung = _hang(t, x, uj)
+    keep, give = partition_two(hung, len(hung.nodes) - (n - acc))
+    lead: set[int] = set()
+    for u in kids[:j]:
+        lead |= t.subtree_nodes(u)
+    piece_edges = _edges_within(t.edges, lead) + give.edges + tuple((u, uj) for u in kids[:j])
+    piece = Tree._wired(lead | give.nodes, piece_edges, uj, t)
+    rest_nodes = t.nodes - piece.nodes
+    rest = Tree._wired(rest_nodes, _regraft(t.edges, rest_nodes, keep), t.root, t)
+    return piece, rest, keep, j
 
 
 def _shrink_side(side: set[int], count: int, depth, grand) -> set[int]:
@@ -78,15 +125,17 @@ def _shrink_side(side: set[int], count: int, depth, grand) -> set[int]:
 def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
     """Two disjoint trees of sizes (size_r, rest), edges spanning <= 2 hops.
 
-    Rooted at a leaf, nodes at even depth start red and the rest blue, each
-    color linked through grandparents.  An oversized color sheds leaves into
-    the other color, which is then relinked through whichever of parent or
-    grandparent shares its color (parent preferred).  The returned R holds
-    the root and has exactly size_r nodes.
+    Rooted at a leaf, nodes at even depth start red and the rest blue.  The
+    oversized color sheds its deepest leaves (under grandparent links) into
+    the other one.  Each color then links every node but its anchor (the
+    root for red, the root's child for blue) to its parent if that shares
+    its color, else to its grandparent.  A color that only shrank holds one
+    depth parity, so its links are all grandparent links.  The returned R
+    holds the root and has exactly size_r nodes.
     """
     n = len(tree.nodes)
-    if not 1 <= size_r <= n - 1:
-        raise DomainError(f"size_r must be between 1 and {n - 1}, got {size_r}")
+    if not _is_int(size_r) or not 1 <= size_r <= n - 1:
+        raise DomainError(f"size_r must be an integer between 1 and {n - 1}, got {size_r!r}")
     t = _leaf_rooted(tree)
     parent = t.parent_map
     depth = t.depth_map
@@ -97,64 +146,40 @@ def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
 
     red = {x for x in t.nodes if depth[x] % 2 == 0}
     blue = set(t.nodes) - red
+    if len(red) != size_r:
+        big, small = (red, blue) if len(red) > size_r else (blue, red)
+        moved = _shrink_side(big, abs(len(red) - size_r), depth, grand)
+        big -= moved
+        small |= moved
+
+    def link(side: set[int], anchor: int) -> Tree:
+        edges = []
+        for x in sorted(side):
+            if x == anchor:
+                continue
+            p = parent[x] if parent[x] in side else grand(x)
+            if p not in side:
+                raise AlgorithmInvariantError(f"node {x} has no parent or grandparent in its side")
+            edges.append((x, p))
+        return Tree._wired(side, edges, anchor, t)
+
     root = t.root
     assert root is not None
-    blue_anchor = t.children_map()[root][0]
-
-    grown: str | None = None
-    if len(red) > size_r:
-        moved = _shrink_side(red, len(red) - size_r, depth, grand)
-        red -= moved
-        blue |= moved
-        grown = "blue"
-    elif len(red) < size_r:
-        moved = _shrink_side(blue, len(blue) - (n - size_r), depth, grand)
-        blue -= moved
-        red |= moved
-        grown = "red"
-
-    def grand_links(side: set[int], anchor: int) -> list[tuple[int, int]]:
-        out = []
-        for x in sorted(side):
-            if x == anchor:
-                continue
-            g = grand(x)
-            if g not in side:
-                raise AlgorithmInvariantError(f"node {x} lost its grandparent link")
-            out.append((x, g))
-        return out
-
-    def relink(side: set[int], anchor: int) -> list[tuple[int, int]]:
-        out = []
-        for x in sorted(side):
-            if x == anchor:
-                continue
-            p = parent[x]
-            if p in side:
-                out.append((x, p))
-                continue
-            g = grand(x)
-            if g not in side:
-                raise AlgorithmInvariantError(f"node {x} has no parent or grandparent in its side")
-            out.append((x, g))
-        return out
-
-    red_edges = relink(red, root) if grown == "red" else grand_links(red, root)
-    blue_edges = relink(blue, blue_anchor) if grown == "blue" else grand_links(blue, blue_anchor)
-    r_tree = Tree._wired(red, red_edges, root, t)
-    b_tree = Tree._wired(blue, blue_edges, blue_anchor, t)
-    return r_tree, b_tree
+    return link(red, root), link(blue, t.adjacency[root][0])
 
 
 def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
-    """Three disjoint trees of equal size, edges spanning <= 2 hops.
+    """Three disjoint trees of equal size n, edges spanning <= 2 hops.
 
-    Peels off a first tree R around the node v with the smallest subtree of
-    size >= n: whole child subtrees of v plus a piece split out of the next
-    child, whose complement (still hanging from v) is grafted back.  The two
-    remaining trees come from a case split on the size of v's regrown
-    subtree, reusing the two-way split so that no grafted edge is ever
-    stretched further.
+    Let v be the node with the smallest subtree of size >= n.  R is cut off
+    at v if that subtree has n nodes, and otherwise peeled off v's children
+    (see `_peel`), leaving a graft that holds v.  G comes out of what is
+    left: the subtree at v or at its first ancestor w with n nodes below is
+    cut off whole; else, if v's regrown subtree is too small, G is peeled
+    off w's children with v's branch first; else G is v with the graft and
+    v's next child subtrees, the last one split by a two-way partition
+    unless it fits whole, and the children left over are chained to v's
+    parent.  No grafted edge is ever stretched further.
     """
     total = len(tree.nodes)
     if total % 3 != 0:
@@ -163,178 +188,56 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
     t = _leaf_rooted(tree)
     size = t.subtree_sizes()
     v = min((s, x) for x, s in size.items() if s >= n)[1]
-
     if size[v] == n:
-        r_tree = _extract_subtree(t, v)
-        rest = _remove_subtree(t, v)
-        g_tree, b_tree = partition_two(rest, n)
-        return r_tree, g_tree, b_tree
+        r_tree, rest = _cut(t, v)
+        return (r_tree, *partition_two(rest, n))
 
-    # size[v] > n: assemble R from leading child subtrees plus a split piece.
     kids_v = t.children_map()[v]
-    sizes = [size[u] for u in kids_v]
-    acc = 0
-    jj = 0
-    while acc + sizes[jj] < n:
-        acc += sizes[jj]
-        jj += 1
-    n1 = n - acc
-    uj = kids_v[jj]
-    uj_nodes = t.subtree_nodes(uj)
-    u_v_j = Tree._wired(uj_nodes | {v}, _edges_within(t.edges, uj_nodes) + ((v, uj),), v, t)
-    keep, give = partition_two(u_v_j, len(u_v_j.nodes) - n1)
-
-    lead = set()
-    for u in kids_v[:jj]:
-        lead |= t.subtree_nodes(u)
-    r_nodes = lead | set(give.nodes)
-    r_edges = (
-        _edges_within(t.edges, lead)
-        + give.edges
-        + tuple((u, uj) for u in kids_v[:jj])
-    )
-    r_tree = Tree._wired(r_nodes, r_edges, uj, t)
-
-    tilde_nodes = set(t.nodes) - r_nodes
-    keep_nodes = set(keep.nodes)
-    tilde_edges = (
-        tuple(
-            e
-            for e in t.edges
-            if e[0] in tilde_nodes
-            and e[1] in tilde_nodes
-            and not (e[0] in keep_nodes and e[1] in keep_nodes)
-        )
-        + keep.edges
-    )
-    tilde = Tree._wired(tilde_nodes, tilde_edges, t.root, t)
+    r_tree, tilde, keep, jj = _peel(t, v, kids_v, size, n)
     size2 = tilde.subtree_sizes()
     parent2 = tilde.parent_map
+    w = v
+    while size2[w] < n:
+        w = parent2[w]
+    if size2[w] == n:
+        return (r_tree, *_cut(tilde, w))
 
-    if size2[v] == n:
-        g_tree = _extract_subtree(tilde, v)
-        b_tree = _remove_subtree(tilde, v)
-        return r_tree, g_tree, b_tree
-
-    if size2[v] < n:
-        # Walk up to the first ancestor w covering n nodes and peel G off
-        # around w, keeping v's whole branch (and the graft inside it) intact.
-        w = v
-        while size2[w] < n:
-            p = parent2[w]
-            assert p is not None
-            w = p
-        if size2[w] == n:
-            g_tree = _extract_subtree(tilde, w)
-            b_tree = _remove_subtree(tilde, w)
-            return r_tree, g_tree, b_tree
+    if w != v:  # size2[v] < n: peel G off w's children, v's branch first
         branch = v
         while parent2[branch] != w:
-            nxt = parent2[branch]
-            assert nxt is not None
-            branch = nxt
+            branch = parent2[branch]
         kids_w = [branch] + [c for c in tilde.children_map()[w] if c != branch]
-        sizes_w = [size2[c] for c in kids_w]
-        acc = 0
-        j2 = 0
-        while acc + sizes_w[j2] < n:
-            acc += sizes_w[j2]
-            j2 += 1
+        g_tree, b_tree, _, j2 = _peel(tilde, w, kids_w, size2, n)
         if j2 == 0:
             raise AlgorithmInvariantError("v's branch alone reached n below w")
-        n1b = n - acc
-        uj2 = kids_w[j2]
-        uj2_nodes = tilde.subtree_nodes(uj2)
-        u_w_j = Tree._wired(
-            uj2_nodes | {w}, _edges_within(tilde.edges, uj2_nodes) + ((w, uj2),), w, tilde
-        )
-        keep2, give2 = partition_two(u_w_j, len(u_w_j.nodes) - n1b)
-        lead2 = set()
-        for c in kids_w[:j2]:
-            lead2 |= tilde.subtree_nodes(c)
-        g_nodes = lead2 | set(give2.nodes)
-        g_edges = (
-            _edges_within(tilde.edges, lead2)
-            + give2.edges
-            + tuple((c, uj2) for c in kids_w[:j2])
-        )
-        g_tree = Tree._wired(g_nodes, g_edges, uj2, tilde)
-        b_nodes = tilde_nodes - g_nodes
-        keep2_nodes = set(keep2.nodes)
-        b_edges = (
-            tuple(
-                e
-                for e in tilde.edges
-                if e[0] in b_nodes
-                and e[1] in b_nodes
-                and not (e[0] in keep2_nodes and e[1] in keep2_nodes)
-            )
-            + keep2.edges
-        )
-        b_tree = Tree._wired(b_nodes, b_edges, tilde.root, tilde)
         return r_tree, g_tree, b_tree
 
-    # size2[v] > n: take the graft, the next child subtrees, and a piece of
-    # one more child; the rest chains its roots back to v's parent.
+    # size2[v] > n: G is v with the graft and the next child subtrees.
     later = kids_v[jj + 1 :]
-    base = len(keep.nodes)
-    acc = base
+    acc = len(keep.nodes)
     ll = 0
     while acc + size[later[ll]] < n:
         acc += size[later[ll]]
         ll += 1
     n2 = n - acc + 1
     ul = later[ll]
-    ul_nodes = t.subtree_nodes(ul)
-    parent_v = parent2[v]
-    assert parent_v is not None
-
-    if n2 == len(ul_nodes) + 1:
-        g_nodes = keep_nodes.copy()
-        for u in later[: ll + 1]:
-            g_nodes |= t.subtree_nodes(u)
-        g_edges = keep.edges
-        for u in later[: ll + 1]:
-            g_edges = g_edges + _edges_within(t.edges, t.subtree_nodes(u)) + ((v, u),)
-        g_tree = Tree._wired(g_nodes, g_edges, v, tilde)
-        chain = later[ll + 1 :]
-        if not chain:
-            raise AlgorithmInvariantError("nothing left to chain after a full split")
-        b_nodes = tilde_nodes - g_nodes
-        b_edges = _edges_within(tilde.edges, b_nodes)
-        b_edges = b_edges + tuple(
-            (chain[i], chain[i + 1]) for i in range(len(chain) - 1)
-        )
-        b_edges = b_edges + ((chain[-1], parent_v),)
-        b_tree = Tree._wired(b_nodes, b_edges, tilde.root, tilde)
-        return r_tree, g_tree, b_tree
-
-    u_v_l = Tree._wired(
-        ul_nodes | {v}, _edges_within(tilde.edges, ul_nodes) + ((v, ul),), v, tilde
-    )
-    give3, keep3 = partition_two(u_v_l, n2)
-    g_nodes = keep_nodes | set(give3.nodes)
-    g_edges = keep.edges + give3.edges
-    for u in later[:ll]:
-        g_nodes |= t.subtree_nodes(u)
-        g_edges = g_edges + _edges_within(t.edges, t.subtree_nodes(u)) + ((v, u),)
+    if n2 == size[ul] + 1:
+        taken, chain, b_keep = later[: ll + 1], later[ll + 1 :], None
+        g_nodes, g_edges = keep.nodes, keep.edges
+    else:
+        give3, b_keep = partition_two(_hang(tilde, v, ul), n2)
+        taken, chain = later[:ll], [ul, *later[ll + 1 :]]
+        g_nodes, g_edges = keep.nodes | give3.nodes, keep.edges + give3.edges
+    if not chain:
+        raise AlgorithmInvariantError("nothing left to chain after a full split")
+    for u in taken:
+        below = t.subtree_nodes(u)
+        g_nodes |= below
+        g_edges += _edges_within(t.edges, below) + ((v, u),)
     g_tree = Tree._wired(g_nodes, g_edges, v, tilde)
-
-    b_nodes = tilde_nodes - g_nodes
-    keep3_nodes = set(keep3.nodes)
-    b_edges = tuple(
-        e
-        for e in tilde.edges
-        if e[0] in b_nodes
-        and e[1] in b_nodes
-        and not (e[0] in keep3_nodes and e[1] in keep3_nodes)
-    )
-    b_edges = b_edges + keep3.edges
-    chain = [ul] + list(later[ll + 1 :])
-    b_edges = b_edges + tuple((chain[i], chain[i + 1]) for i in range(len(chain) - 1))
-    b_edges = b_edges + ((chain[-1], parent_v),)
-    b_tree = Tree._wired(b_nodes, b_edges, tilde.root, tilde)
-    return r_tree, g_tree, b_tree
+    b_nodes = tilde.nodes - g_nodes
+    b_edges = _regraft(tilde.edges, b_nodes, b_keep) + tuple(zip(chain, [*chain[1:], parent2[v]]))
+    return r_tree, g_tree, Tree._wired(b_nodes, b_edges, tilde.root, tilde)
 
 
 def partition_many(tree: Tree, k: int) -> Forest:
@@ -344,8 +247,8 @@ def partition_many(tree: Tree, k: int) -> Forest:
     3 hops in the source tree.  On a path-shaped tree the path runs end to
     end, so the pieces use only original edges.
     """
-    if k < 4:
-        raise DomainError("partition_many handles k >= 4; use the dedicated 2/3-way splits")
+    if not _is_int(k) or k < 4:
+        raise DomainError(f"partition_many needs an integer k >= 4, got {k!r}")
     total = len(tree.nodes)
     if total % k != 0:
         raise PartitionError(f"node count {total} is not divisible by k={k}")
@@ -359,8 +262,8 @@ def partition_many(tree: Tree, k: int) -> Forest:
 
 def balanced_partition(tree: Tree, k: int) -> Forest:
     """k disjoint equal-size trees; hops <= 2 for k in {2, 3}, <= 3 for k >= 4."""
-    if k < 2:
-        raise DomainError("balanced_partition needs k >= 2")
+    if not _is_int(k) or k < 2:
+        raise DomainError(f"balanced_partition needs an integer k >= 2, got {k!r}")
     total = len(tree.nodes)
     if total % k != 0:
         raise PartitionError(f"node count {total} is not divisible by k={k}")
@@ -405,8 +308,8 @@ def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
     bottleneck matching and is out of this solver's scope; n = 1 is likewise
     rejected.
     """
-    if k < 2:
-        raise DomainError("solve_pbst needs k >= 2")
+    if not _is_int(k) or k < 2:
+        raise DomainError(f"solve_pbst needs an integer k >= 2, got {k!r}")
     total = instance.point_count
     if total % k != 0:
         raise PartitionError(f"{total} points cannot split into k={k} equal groups")

@@ -99,6 +99,15 @@ def test_non_utf8_input_exits_two(tmp_path, capsys, command, flag):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize("command, flag", [("dbst", "--input"), ("batch", "--config")])
+def test_deeply_nested_json_exits_two(tmp_path, capsys, command, flag):
+    bad = tmp_path / "deep.json"
+    bad.write_text("[" * 100000)
+    code, _, err = _run(capsys, command, flag, str(bad))
+    assert code == 2
+    assert err.startswith("error:") and "nested too deeply" in err
+
+
 def test_missing_partition_exits_two(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert main(["gen", "--kind", "euclidean", "--n", "6", "--seed", "0", "-o", str(inst)]) == 0
@@ -172,10 +181,14 @@ _GEN = {"kind": "euclidean", "n": 6, "dim": 2}
         ({"seeds": True, "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
         ({"seeds": 1, "jobs": [{"problem": "pbst", "k": 2, "exact": "no",
                                 "generator": _GEN}]}, "'exact'"),
+        ({"seeds": 1, "jobs": [{"problem": "dbst",
+                                "generator": {"kind": "euclidean", "n": 4, "partition": "tuples",
+                                              "k": 0}}]}, "tuples of size 0"),
     ],
     ids=["no-jobs", "jobs-not-list", "no-problem", "no-generator", "no-k",
          "no-kind", "k-string", "k-float", "k-bool", "n-string", "singletons-string",
-         "seeds-float", "seeds-string", "seeds-list-of-strings", "seeds-bool", "exact-string"],
+         "seeds-float", "seeds-string", "seeds-list-of-strings", "seeds-bool", "exact-string",
+         "tuples-k-zero"],
 )
 def test_malformed_batch_config_exits_two(tmp_path, capsys, config, named):
     path = tmp_path / "batch.json"

@@ -58,6 +58,8 @@ def test_random_partitions_cover_points():
     with pytest.raises(DomainError):
         random_tuples(10, 3, rng)
     with pytest.raises(DomainError):
+        random_tuples(4, 0, rng)
+    with pytest.raises(DomainError):
         random_clusters(10, rng, singletons=1)
 
 

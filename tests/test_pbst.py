@@ -11,6 +11,7 @@ from bottleneck_trees import (
     Tree,
     balanced_partition,
     bottleneck,
+    bucketize,
     exact_pbst,
     hop_distance,
     longest_edge,
@@ -271,6 +272,26 @@ def test_solve_rejects_bad_sizes():
         solve_pbst(inst, 3)
     with pytest.raises(DomainError):
         solve_pbst(inst, 4)  # n = 2 is the matching case
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: solve_pbst(euclidean_instance(2, 9, random.Random(0)), 3.0),
+        lambda: solve_pbst(euclidean_instance(2, 12, random.Random(0)), 4.0),
+        lambda: exact_pbst(euclidean_instance(2, 6, random.Random(0)), 2.0),
+        lambda: balanced_partition(_path(6), 2.0),
+        lambda: partition_many(_path(8), 4.0),
+        lambda: partition_two(_path(6), 2.5),
+        lambda: partition_two(_path(6), True),
+        lambda: bucketize(_path(6), 2.0),
+    ],
+    ids=["solve-3.0", "solve-4.0", "exact-2.0", "balanced-2.0", "many-4.0",
+         "two-2.5", "two-True", "bucketize-2.0"],
+)
+def test_non_integer_k_or_size_is_rejected(call):
+    with pytest.raises(DomainError, match="integer"):
+        call()
 
 
 def test_solve_ratio_against_oracle():
