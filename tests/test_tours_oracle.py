@@ -1,3 +1,4 @@
+import hashlib
 import random
 from itertools import permutations, product
 
@@ -22,6 +23,7 @@ from bottleneck_trees import (
 )
 from bottleneck_trees.generators import (
     euclidean_instance,
+    random_clusters,
     random_metric_instance,
     random_tuples,
 )
@@ -192,3 +194,43 @@ def test_exact_gbst_caps():
 def test_tour_bottleneck_helper():
     inst = MetricInstance.from_coordinates([(0.0,), (1.0,), (3.0,)])
     assert tour_bottleneck((0, 1, 2), inst) == 3.0
+
+
+def _grid_instance(n, rng):
+    """n points on a 3x3 integer grid: ties everywhere, duplicates too."""
+    return MetricInstance.from_coordinates(
+        tuple((rng.randrange(3), rng.randrange(3)) for _ in range(n))
+    )
+
+
+def test_oracle_outputs_are_pinned():
+    # Exact optima, nodes and edge order of the DBST, GBST and PBST oracles
+    # on seeded Euclidean, random-metric and tie-heavy grid instances.  Among
+    # tied optima the first strictly better choice wins, so any rewrite of
+    # the oracles must return byte-identical forests and trees.
+    rng = random.Random(11)
+    makers = (
+        lambda n: euclidean_instance(2, n, rng),
+        lambda n: random_metric_instance(n, rng),
+        lambda n: _grid_instance(n, rng),
+    )
+    outputs = []
+    for i in range(45):
+        make = makers[i % 3]
+        for k, groups in ((2, rng.randint(1, 6)), (3, rng.randint(1, 5))):
+            inst = make(k * groups)
+            forest, value = exact_dbst(inst, random_tuples(k * groups, k, rng))
+            outputs.append((value, forest.trees))
+        n = rng.randint(1, 16)
+        tree, value = exact_gbst(make(n), random_clusters(n, rng))
+        outputs.append((value, (tree,)))
+        for k in (2, 3, 4):
+            inst = make(k * rng.randint(1, 12 // k))
+            forest, value = exact_pbst(inst, k)
+            outputs.append((value, forest.trees))
+    digest = hashlib.sha256(
+        repr(
+            [(value, [(sorted(t.nodes), t.edges) for t in trees]) for value, trees in outputs]
+        ).encode()
+    ).hexdigest()
+    assert digest == "369efccf5f16ca5e5d71beb004875981a0b8bc39f5549a638cd4281f177322cb"
