@@ -226,8 +226,8 @@ class TuplePartition:
     tuples: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise PartitionError("tuple size k must be at least 2")
+        if not _is_int(self.k) or self.k < 2:
+            raise PartitionError(f"tuple size k must be an integer of at least 2, got {self.k!r}")
         groups = tuple(_point_ids(g, "tuple") for g in self.tuples)
         if not groups:
             raise PartitionError("at least one tuple is required")
@@ -258,8 +258,10 @@ class ClusterPartition:
     clusters: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if self.k < 2:
-            raise PartitionError("maximum cluster size k must be at least 2")
+        if not _is_int(self.k) or self.k < 2:
+            raise PartitionError(
+                f"maximum cluster size k must be an integer of at least 2, got {self.k!r}"
+            )
         groups = tuple(_point_ids(g, "cluster") for g in self.clusters)
         if not groups:
             raise PartitionError("at least one cluster is required")

@@ -3,8 +3,11 @@
 Every oracle enforces a hard size cap and raises rather than truncating:
 an approximate oracle is worthless as a baseline.  A group of points is
 connectable with edges up to d exactly when it is connected in the graph of
-all pairs at distance <= d, so group quality is measured by that threshold
-(equivalently, the group's minimum spanning tree bottleneck).
+all pairs at distance <= d, so group quality is measured by that threshold:
+the group's minimum spanning tree bottleneck, read off the package's one MST
+kernel (`trees._mst_triples`).  `exact_pbst` reads one local table of
+distances; only `exact_bottleneck_tour` still calls the checked
+`MetricInstance.distance`.
 """
 
 from __future__ import annotations
@@ -14,31 +17,13 @@ from math import comb
 
 from .errors import DomainError, OracleSizeError, PartitionError
 from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
-from .trees import Forest, Tree, minimum_spanning_tree
+from .trees import Forest, Tree, _mst_triples, minimum_spanning_tree
 
 
-def _distance_table(instance: MetricInstance) -> list[list[float]]:
-    """table[u][v] == instance.distance(u, v) for every ordered pair."""
-    pts = instance.points()
-    return [[instance.distance(u, v) for v in pts] for u in pts]
-
-
-def _group_threshold(table: list[list[float]], points) -> float:
-    """Smallest possible largest edge of a spanning tree on the points."""
-    pts = sorted(points)
-    if len(pts) <= 1:
-        return 0.0
-    best = {p: table[p][pts[0]] for p in pts[1:]}
-    worst = 0.0
-    while best:
-        p = min(best, key=lambda q: (best[q], q))
-        worst = max(worst, best.pop(p))
-        row = table[p]
-        for q in best:
-            d = row[q]
-            if d < best[q]:
-                best[q] = d
-    return worst
+def _threshold(instance: MetricInstance, points: list[int]) -> float:
+    """Smallest possible largest edge of a spanning tree on sorted, checked points."""
+    triples = _mst_triples(instance, points)
+    return triples[-1][0] if triples else 0.0
 
 
 def exact_dbst(
@@ -54,14 +39,13 @@ def exact_dbst(
         raise OracleSizeError(f"exact_dbst is capped at k<=3, n<=6 (got k={k}, n={n})")
     if instance.point_count != tuples.point_count:
         raise PartitionError("tuples do not cover exactly the instance's points")
-    table = _distance_table(instance)
     thresholds: dict[tuple[int, ...], float] = {}
 
     def threshold(group: list[int]) -> float:
         key = tuple(sorted(group))
         value = thresholds.get(key)
         if value is None:
-            value = thresholds[key] = _group_threshold(table, key)
+            value = thresholds[key] = _threshold(instance, list(key))
         return value
 
     identity = tuple(range(k))
@@ -92,11 +76,10 @@ def exact_gbst(
     if clusters.max_size() > 2:
         raise PartitionError("exact_gbst handles clusters of size at most 2")
     clusters.check_covers(instance)
-    table = _distance_table(instance)
     best_value: float | None = None
     best_choice: tuple[int, ...] | None = None
     for choice in product(*clusters.clusters):
-        value = _group_threshold(table, choice)
+        value = _threshold(instance, sorted(choice))
         if best_value is None or value < best_value:
             best_value, best_choice = value, choice
     assert best_choice is not None and best_value is not None
@@ -138,21 +121,12 @@ def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
         forest = Forest(tuple(Tree(frozenset({p}), ()) for p in instance.points()))
         return forest, 0.0
 
-    points = list(instance.points())
-    candidates = sorted(
-        {0.0}
-        | {
-            instance.distance(u, v)
-            for i, u in enumerate(points)
-            for v in points[i + 1 :]
-        }
-    )
+    points = instance.points()
+    table = [instance._lengths([(u, v) for v in points]) for u in points]
+    candidates = sorted({0.0} | {d for u in points for d in table[u][u + 1 :]})
 
     def feasible(d: float) -> list[list[int]] | None:
-        adj = {
-            u: [v for v in points if v != u and instance.distance(u, v) <= d]
-            for u in points
-        }
+        adj = [[v for v in points if v != u and table[u][v] <= d] for u in points]
         unassigned = set(points)
         groups: list[list[int]] = []
 
@@ -228,13 +202,13 @@ def exact_bottleneck_tour(
     The first point is pinned and each direction counted once; capped at 9
     points.
     """
-    pts = sorted(set(subset))
+    ids = list(subset)
+    instance._check_ids(ids)
+    pts = sorted(set(ids))
     if len(pts) < 3:
         raise DomainError("a tour needs at least three points")
     if len(pts) > 9:
         raise OracleSizeError(f"exact_bottleneck_tour is capped at 9 points (got {len(pts)})")
-    for p in pts:
-        instance._check_id(p)
     first = pts[0]
     best_tour: tuple[int, ...] | None = None
     best_value: float | None = None

@@ -47,10 +47,34 @@ def _cut(t: Tree, v: int) -> tuple[Tree, Tree]:
     )
 
 
-def _hang(t: Tree, x: int, u: int) -> Tree:
-    """The subtree of t at u with u's parent x hung on top as its root."""
-    below = t.subtree_nodes(u)
-    return Tree._wired(below | {x}, _edges_within(t.edges, below) + ((x, u),), x, t)
+def _branches(t: Tree, x: int) -> list[tuple[int, set[int], tuple[tuple[int, int], ...]]]:
+    """(u, nodes, edges) of the subtree at each child u of x, u ascending.
+
+    One children map and one pass over t's edges, which keep their order.
+    """
+    children = t.children_map()
+    top: dict[int, int] = {}
+    below: dict[int, set[int]] = {}
+    for u in children[x]:
+        below[u] = set()
+        stack = [u]
+        while stack:
+            y = stack.pop()
+            top[y] = u
+            below[u].add(y)
+            stack.extend(children[y])
+    inner: dict[int, list[tuple[int, int]]] = {u: [] for u in children[x]}
+    for e in t.edges:
+        u = top.get(e[0])
+        if u is not None and top.get(e[1]) == u:
+            inner[u].append(e)
+    return [(u, below[u], tuple(inner[u])) for u in children[x]]
+
+
+def _hang(t: Tree, x: int, branch) -> Tree:
+    """The branch (u, nodes, edges) of t below x with x hung on top as its root."""
+    u, below, inner = branch
+    return Tree._wired(below | {x}, inner + ((x, u),), x, t)
 
 
 def _regraft(edges, nodes, keep: Tree | None) -> tuple[tuple[int, int], ...]:
@@ -65,29 +89,27 @@ def _regraft(edges, nodes, keep: Tree | None) -> tuple[tuple[int, int], ...]:
     return (*kept, *keep.edges)
 
 
-def _peel(
-    t: Tree, x: int, kids: list[int], size: dict[int, int], n: int
-) -> tuple[Tree, Tree, Tree, int]:
+def _peel(t: Tree, x: int, branches, n: int) -> tuple[Tree, Tree, Tree, int]:
     """Peel a tree of n nodes off the children of x, whose subtree has more.
 
-    kids[:j] is the longest prefix whose subtrees hold fewer than n nodes
-    together.  The piece takes those subtrees whole and completes them with
-    the part that a two-way split gives away of kids[j]'s subtree, with x
-    hung on top; every kids[:j] links to kids[j], the piece's root.  The
+    `branches` are x's child subtrees as `_branches` gives them, in the order
+    taken.  branches[:j] is the longest prefix that holds fewer than n nodes.
+    The piece takes those subtrees whole and completes them with the part
+    that a two-way split gives away of branches[j], with x hung on top;
+    every branches[:j] child links to branches[j]'s, the piece's root.  The
     other part of that split, `keep`, holds x and is regrafted into the rest
     of t in place of the edges it replaces.  Returns (piece, rest, keep, j).
     """
     acc = j = 0
-    while acc + size[kids[j]] < n:
-        acc += size[kids[j]]
+    while acc + len(branches[j][1]) < n:
+        acc += len(branches[j][1])
         j += 1
-    uj = kids[j]
-    hung = _hang(t, x, uj)
+    uj = branches[j][0]
+    hung = _hang(t, x, branches[j])
     keep, give = partition_two(hung, len(hung.nodes) - (n - acc))
-    lead: set[int] = set()
-    for u in kids[:j]:
-        lead |= t.subtree_nodes(u)
-    piece_edges = _edges_within(t.edges, lead) + give.edges + tuple((u, uj) for u in kids[:j])
+    lead = set().union(*(below for _, below, _ in branches[:j]))
+    links = tuple((u, uj) for u, _, _ in branches[:j])
+    piece_edges = _edges_within(t.edges, lead) + give.edges + links
     piece = Tree._wired(lead | give.nodes, piece_edges, uj, t)
     rest_nodes = t.nodes - piece.nodes
     rest = Tree._wired(rest_nodes, _regraft(t.edges, rest_nodes, keep), t.root, t)
@@ -192,8 +214,8 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
         r_tree, rest = _cut(t, v)
         return (r_tree, *partition_two(rest, n))
 
-    kids_v = t.children_map()[v]
-    r_tree, tilde, keep, jj = _peel(t, v, kids_v, size, n)
+    branches = _branches(t, v)
+    r_tree, tilde, keep, jj = _peel(t, v, branches, n)
     size2 = tilde.subtree_sizes()
     parent2 = tilde.parent_map
     w = v
@@ -206,34 +228,36 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
         branch = v
         while parent2[branch] != w:
             branch = parent2[branch]
-        kids_w = [branch] + [c for c in tilde.children_map()[w] if c != branch]
-        g_tree, b_tree, _, j2 = _peel(tilde, w, kids_w, size2, n)
+        branches_w = _branches(tilde, w)
+        branches_w.sort(key=lambda b: b[0] != branch)
+        g_tree, b_tree, _, j2 = _peel(tilde, w, branches_w, n)
         if j2 == 0:
             raise AlgorithmInvariantError("v's branch alone reached n below w")
         return r_tree, g_tree, b_tree
 
     # size2[v] > n: G is v with the graft and the next child subtrees.
-    later = kids_v[jj + 1 :]
+    # v's later child subtrees are untouched by the peel, so t's branches
+    # are tilde's too.
+    later = branches[jj + 1 :]
     acc = len(keep.nodes)
     ll = 0
-    while acc + size[later[ll]] < n:
-        acc += size[later[ll]]
+    while acc + len(later[ll][1]) < n:
+        acc += len(later[ll][1])
         ll += 1
     n2 = n - acc + 1
-    ul = later[ll]
-    if n2 == size[ul] + 1:
-        taken, chain, b_keep = later[: ll + 1], later[ll + 1 :], None
-        g_nodes, g_edges = keep.nodes, keep.edges
+    if n2 == len(later[ll][1]) + 1:
+        taken, chained, b_keep = later[: ll + 1], later[ll + 1 :], None
+        g_nodes, g_edges = set(keep.nodes), list(keep.edges)
     else:
-        give3, b_keep = partition_two(_hang(tilde, v, ul), n2)
-        taken, chain = later[:ll], [ul, *later[ll + 1 :]]
-        g_nodes, g_edges = keep.nodes | give3.nodes, keep.edges + give3.edges
-    if not chain:
+        give3, b_keep = partition_two(_hang(tilde, v, later[ll]), n2)
+        taken, chained = later[:ll], later[ll:]
+        g_nodes, g_edges = set(keep.nodes | give3.nodes), [*keep.edges, *give3.edges]
+    if not chained:
         raise AlgorithmInvariantError("nothing left to chain after a full split")
-    for u in taken:
-        below = t.subtree_nodes(u)
+    for u, below, inner in taken:
         g_nodes |= below
-        g_edges += _edges_within(t.edges, below) + ((v, u),)
+        g_edges += (*inner, (v, u))
+    chain = [u for u, _, _ in chained]
     g_tree = Tree._wired(g_nodes, g_edges, v, tilde)
     b_nodes = tilde.nodes - g_nodes
     b_edges = _regraft(tilde.edges, b_nodes, b_keep) + tuple(zip(chain, [*chain[1:], parent2[v]]))

@@ -7,9 +7,10 @@ three tree edges apart).  The cube of a tree has a Hamiltonian path between
 any two nodes (Sekanina 1960); one linear traversal along the tree path
 between the two ends builds every such path and cycle here.
 
-The MST is a dense Prim kernel (O(n^2) time, O(n) extra memory) with the
+The MST is one dense Prim kernel (O(n^2) time, O(n) extra memory) with the
 (distance, u, v) tie-break; each solver builds one per solve and derives
-everything else from its edges.
+everything else from its edges, and the exact oracles read their group
+thresholds from the same kernel.
 
 Validation happens at the boundary.  A `Tree` built by hand or read by
 `tree_from_dict` checks its id types and its structure.  Trees derived from
@@ -242,30 +243,19 @@ class Forest:
                 raise DomainError("forest trees must have pairwise disjoint node sets")
             seen |= t.nodes
 
-    def all_nodes(self) -> set[int]:
-        out: set[int] = set()
-        for t in self.trees:
-            out |= t.nodes
-        return out
 
+def _mst_triples(instance: MetricInstance, points: list[int]) -> list[tuple[float, int, int]]:
+    """The MST's edges as (distance, u, v) triples with u < v, ascending.
 
-def minimum_spanning_tree(instance: MetricInstance, subset) -> Tree:
-    """Minimum spanning tree of the complete metric graph on `subset`.
-
-    Dense Prim over the sorted subset: O(n^2) time, O(n) extra memory, one
-    distance row per added node (`math.dist` on coordinates, or the matrix
-    row, which is assumed symmetric).  Candidates compare on the strict total
-    order (distance, u, v) with u < v, so the tree is unique and equals the
-    Kruskal tree of that order; its edges are returned in that order too,
-    which makes the result deterministic and both weight- and
-    bottleneck-optimal.
+    `points` are distinct ids in ascending order that the caller has checked.
+    Dense Prim: O(n^2) time, O(n) extra memory, one distance row per added
+    node (`math.dist` on coordinates, or the matrix row, which is assumed
+    symmetric).  Candidates compare on the strict total order (distance, u, v),
+    so the tree is unique and equals the Kruskal tree of that order.  The
+    last triple holds the bottleneck; a single point has no triples.
     """
-    points = sorted(set(subset))
-    if not points:
-        raise DomainError("cannot span an empty point set")
-    instance._check_ids(points)
     if len(points) == 1:
-        return Tree._from_valid(frozenset(points), ())
+        return []
     # rest[i] is outside the tree; its cheapest link into the tree is
     # (best[i], via[i]), and targets[i] is what its distances are read from.
     rest = points[1:]
@@ -308,7 +298,22 @@ def minimum_spanning_tree(instance: MetricInstance, subset) -> Tree:
                 best[j] = nd
                 via[j] = y
     chosen.sort()
-    return Tree._from_valid(frozenset(points), tuple((u, v) for _, u, v in chosen))
+    return chosen
+
+
+def minimum_spanning_tree(instance: MetricInstance, subset) -> Tree:
+    """Minimum spanning tree of the complete metric graph on `subset`.
+
+    Its edges come from `_mst_triples` in (distance, u, v) order, which makes
+    the result deterministic and both weight- and bottleneck-optimal.
+    """
+    ids = list(subset)
+    instance._check_ids(ids)
+    points = sorted(set(ids))
+    if not points:
+        raise DomainError("cannot span an empty point set")
+    edges = tuple((u, v) for _, u, v in _mst_triples(instance, points))
+    return Tree._from_valid(frozenset(points), edges)
 
 
 def longest_edge(tree: Tree, instance: MetricInstance) -> tuple[tuple[int, int], float]:

@@ -189,6 +189,9 @@ def test_tuple_partition_validation():
         TuplePartition(k=3, tuples=((0, 1), (2, 3)))  # wrong group size
     with pytest.raises(PartitionError):
         TuplePartition(k=1, tuples=((0,),))
+    for bad_k in ("2", 2.0, None, True):
+        with pytest.raises(PartitionError):
+            TuplePartition(k=bad_k, tuples=((0, 1), (2, 3)))
     for bad in (True, False, "1", 1.0, None):
         with pytest.raises(DomainError):
             TuplePartition(k=2, tuples=((0, bad), (2, 3)))
@@ -201,6 +204,9 @@ def test_cluster_partition_validation():
         ClusterPartition(k=2, clusters=((0, 1, 2),))
     with pytest.raises(PartitionError):
         ClusterPartition(k=2, clusters=((0,), (0, 1)))
+    for bad_k in (None, "2", 2.0, True, 1):
+        with pytest.raises(PartitionError):
+            ClusterPartition(k=bad_k, clusters=((1,), (0, 2)))
     for bad in (True, False, "1", 1.0, None):
         with pytest.raises(DomainError):
             ClusterPartition(k=2, clusters=((0,), (bad,)))

@@ -356,3 +356,16 @@ def test_partition_outputs_are_pinned():
         repr([(sorted(t.nodes), t.edges, t.root) for t in outputs]).encode()
     ).hexdigest()
     assert digest == "39f061274d42e32adac5cd213a16efe3223c8633e6aefa47c40828799dca7eb5"
+
+
+def test_partition_three_on_a_wide_star():
+    # Both R and G take thousands of whole child subtrees here; each one
+    # must not cost a pass over the whole tree.
+    total = 2 * 10**4 + 1
+    star = Tree(frozenset(range(total)), tuple((0, i) for i in range(1, total)))
+    pieces = partition_three(star)
+    assert [len(p.nodes) for p in pieces] == [total // 3] * 3
+    # three sizes that sum to the total cover every node only if disjoint
+    assert frozenset().union(*(p.nodes for p in pieces)) == star.nodes
+    for p in pieces:
+        assert all(hop_distance(star, u, v) <= 2 for u, v in p.edges)

@@ -18,6 +18,7 @@ from bottleneck_trees import (
     cube_hamiltonian_cycle,
     cube_hamiltonian_path,
     cube_hamiltonian_path_between,
+    exact_bottleneck_tour,
     forest_bottleneck,
     hop_distance,
     longest_edge,
@@ -491,9 +492,15 @@ def test_trusted_reads_keep_the_id_type_checks():
     for bad in (True, 1.0, "1", None):
         with pytest.raises(IdentifierError):
             tour_bottleneck((0, bad, 2), inst)
-    for bad in (True, 1.0):
+    for bad in (True, False, 1.0, "a", None):
         with pytest.raises(IdentifierError):
             minimum_spanning_tree(inst, [0, bad, 2])
+        with pytest.raises(IdentifierError):
+            exact_bottleneck_tour(inst, [0, 1, bad, 2])
+    with pytest.raises(IdentifierError):
+        minimum_spanning_tree(inst, [0, "a"])
+    with pytest.raises(IdentifierError):
+        exact_bottleneck_tour(inst, [0, 1, "x"])
     assert tour_bottleneck([2], inst) == 0.0
     with pytest.raises(ValueError):
         tour_bottleneck((), inst)
