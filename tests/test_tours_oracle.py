@@ -234,3 +234,24 @@ def test_oracle_outputs_are_pinned():
         ).encode()
     ).hexdigest()
     assert digest == "369efccf5f16ca5e5d71beb004875981a0b8bc39f5549a638cd4281f177322cb"
+
+
+def test_tour_oracle_outputs_are_pinned():
+    # Optimal tours and values of the tour oracle on seeded Euclidean,
+    # random-metric and tie-heavy grid instances, over subsets of 3-9 points.
+    # Among tied tours the first strictly better permutation wins, so any
+    # rewrite of the oracle must return byte-identical tours.
+    rng = random.Random(13)
+    makers = (
+        lambda n: euclidean_instance(2, n, rng),
+        lambda n: random_metric_instance(n, rng),
+        lambda n: _grid_instance(n, rng),
+    )
+    outputs = []
+    for i in range(35):
+        size = 3 + i % 7
+        inst = makers[i % 3](size + rng.randint(0, 3))
+        subset = rng.sample(range(inst.point_count), size)
+        outputs.append(exact_bottleneck_tour(inst, subset))
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == "3e7a043e6755b52e84f8d288bf2281f30c8e2a21f21268b8893ed992de406450"
