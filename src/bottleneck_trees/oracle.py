@@ -6,7 +6,8 @@ connectable with edges up to d exactly when it is connected in the graph of
 all pairs at distance <= d, so group quality is measured by that threshold:
 the group's minimum spanning tree bottleneck, read off the package's one MST
 kernel (`trees._mst_triples`).  `exact_pbst` reads one local table of
-distances; only `exact_bottleneck_tour` still calls the checked
+distances, and `exact_bottleneck_tour` scores each candidate tour with
+`tours.tour_bottleneck`; no oracle calls the checked
 `MetricInstance.distance`.
 """
 
@@ -17,6 +18,7 @@ from math import comb
 
 from .errors import DomainError, OracleSizeError, PartitionError
 from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
+from .tours import tour_bottleneck
 from .trees import Forest, Tree, _mst_triples, minimum_spanning_tree
 
 
@@ -199,8 +201,8 @@ def exact_bottleneck_tour(
 ) -> tuple[tuple[int, ...], float]:
     """Optimal bottleneck cycle over all tours of the subset.
 
-    The first point is pinned and each direction counted once; capped at 9
-    points.
+    The first point is pinned and each direction counted once; each
+    candidate tour is scored with `tour_bottleneck`.  Capped at 9 points.
     """
     ids = list(subset)
     instance._check_ids(ids)
@@ -216,10 +218,7 @@ def exact_bottleneck_tour(
         if perm[0] > perm[-1]:
             continue
         tour = (first,) + perm
-        value = max(
-            instance.distance(tour[i], tour[(i + 1) % len(tour)])
-            for i in range(len(tour))
-        )
+        value = tour_bottleneck(tour, instance)
         if best_value is None or value < best_value:
             best_value, best_tour = value, tour
     assert best_tour is not None and best_value is not None

@@ -310,19 +310,26 @@ def _solve_subset(instance: MetricInstance, mst: Tree, k: int, n: int) -> list[T
     """k trees of n points each from `mst`, the MST of its own nodes.
 
     Removing an MST edge leaves two trees that are each the MST of their own
-    points (with edges still in (distance, u, v) order), so the recursion
-    splits the tree it was given instead of spanning the sides again.
+    points (with edges still in (distance, u, v) order), so each split cuts
+    the tree it was given instead of spanning the sides again.  The splits
+    run off an explicit stack, u-side first, so long chains of peeled groups
+    cannot exhaust Python's recursion limit.
     """
-    if k == 1:
-        return [mst]
-    e, _ = longest_edge(mst, instance)
-    side_u, side_v = split_tree_at_edge(mst, e)
-    cu, cv = len(side_u.nodes), len(side_v.nodes)
-    if cu % n == 0 and cv % n == 0:
-        return _solve_subset(instance, side_u, cu // n, n) + _solve_subset(
-            instance, side_v, cv // n, n
-        )
-    return list(balanced_partition(_leaf_rooted(mst), k).trees)
+    trees: list[Tree] = []
+    stack = [(mst, k)]
+    while stack:
+        tree, count = stack.pop()
+        if count == 1:
+            trees.append(tree)
+            continue
+        e, _ = longest_edge(tree, instance)
+        side_u, side_v = split_tree_at_edge(tree, e)
+        cu, cv = len(side_u.nodes), len(side_v.nodes)
+        if cu % n == 0 and cv % n == 0:
+            stack += ((side_v, cv // n), (side_u, cu // n))
+        else:
+            trees += balanced_partition(_leaf_rooted(tree), count).trees
+    return trees
 
 
 def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -22,6 +23,7 @@ from bottleneck_trees import (
     solve_pbst,
     split_tree_at_edge,
 )
+import bottleneck_trees.pbst as pbst
 from bottleneck_trees.generators import (
     euclidean_instance,
     random_metric_instance,
@@ -232,8 +234,6 @@ def test_split_sides_are_msts_of_their_points():
 
 
 def test_solve_builds_one_mst_while_recursing(monkeypatch):
-    import bottleneck_trees.pbst as pbst
-
     calls = []
 
     def counted(instance, subset):
@@ -248,6 +248,76 @@ def test_solve_builds_one_mst_while_recursing(monkeypatch):
     assert len(calls) == 1
     groups = {frozenset(t.nodes) for t in result.forest.trees}
     assert groups == {frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8})}
+
+
+def _frame_depth():
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+def _clustered_line(clusters):
+    """Collinear clusters of three points 0.25 apart; gaps grow to the right."""
+    return MetricInstance.from_coordinates(
+        [(c * (c + 3) / 2 + 0.25 * i,) for c in range(clusters) for i in range(3)]
+    )
+
+
+def test_solve_peels_hundreds_of_groups_without_recursing():
+    # Every longest MST edge peels off the last cluster, so the splits nest
+    # one level per cluster; they must not use one Python frame each.
+    clusters = 300
+    inst = _clustered_line(clusters)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frame_depth() + 100)
+    try:
+        result = solve_pbst(inst, clusters)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert [sorted(t.nodes) for t in result.forest.trees] == [
+        [3 * c, 3 * c + 1, 3 * c + 2] for c in range(clusters)
+    ]
+    assert result.bottleneck == 0.25
+
+
+def _recursive_solve(instance, mst, k, n):
+    """The solver's split rule, written as the plain recursion."""
+    if k == 1:
+        return [mst]
+    e, _ = longest_edge(mst, instance)
+    side_u, side_v = split_tree_at_edge(mst, e)
+    cu, cv = len(side_u.nodes), len(side_v.nodes)
+    if cu % n == 0 and cv % n == 0:
+        return _recursive_solve(instance, side_u, cu // n, n) + _recursive_solve(
+            instance, side_v, cv // n, n
+        )
+    return list(balanced_partition(pbst._leaf_rooted(mst), k).trees)
+
+
+def test_solve_matches_the_recursive_split_rule():
+    rng = random.Random(29)
+    for trial in range(120):
+        k, n = rng.randint(2, 6), rng.randint(3, 8)
+        if trial % 4 == 0:
+            inst = euclidean_instance(2, k * n, rng)
+        elif trial % 4 == 1:
+            inst = random_metric_instance(k * n, rng)
+        elif trial % 4 == 2:
+            inst = MetricInstance.from_coordinates(
+                [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(k * n)]
+            )
+        else:  # loose 1-D clusters, so many splits are clean
+            centres = [rng.uniform(0, 10 * k) for _ in range(k)]
+            coords = [(c + rng.uniform(0, 2),) for c in centres for _ in range(n)]
+            rng.shuffle(coords)
+            inst = MetricInstance.from_coordinates(coords)
+        mst = minimum_spanning_tree(inst, range(k * n))
+        want = _recursive_solve(inst, mst, k, n)
+        got = solve_pbst(inst, k).forest.trees
+        assert [(t.nodes, t.edges, t.root) for t in got] == [
+            (t.nodes, t.edges, t.root) for t in want
+        ]
 
 
 def test_solve_collinear_six():

@@ -18,7 +18,9 @@ from bottleneck_trees import (
     hop_distance,
     lift_to_tours,
     minimum_spanning_tree,
+    solve_2gbst,
     solve_dbst,
+    solve_pbst,
     tour_bottleneck,
 )
 from bottleneck_trees.generators import (
@@ -255,3 +257,29 @@ def test_tour_oracle_outputs_are_pinned():
         outputs.append(exact_bottleneck_tour(inst, subset))
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digest == "3e7a043e6755b52e84f8d288bf2281f30c8e2a21f21268b8893ed992de406450"
+
+
+def test_no_internal_call_reads_checked_distance(monkeypatch):
+    # Ids are checked once at each public entry, so nothing inside the
+    # package may fall back to the per-pair checked read.
+    rng = random.Random(31)
+    instances = (euclidean_instance(2, 6, rng), random_metric_instance(6, rng))
+
+    def forbidden(self, u, v):
+        raise AssertionError("MetricInstance.distance called internally")
+
+    monkeypatch.setattr(MetricInstance, "distance", forbidden)
+    tuples = TuplePartition(k=2, tuples=((0, 1), (2, 3), (4, 5)))
+    clusters = ClusterPartition(k=2, clusters=((0, 1), (2, 3), (4,), (5,)))
+    for inst in instances:
+        forest = solve_dbst(inst, tuples).forest
+        lifted = lift_to_tours(forest, inst)
+        assert lifted.bottleneck == max(
+            tour_bottleneck(t, inst) for t in lifted.tour_set.tours
+        )
+        solve_2gbst(inst, clusters)
+        solve_pbst(inst, 2)
+        exact_dbst(inst, tuples)
+        exact_gbst(inst, clusters)
+        exact_pbst(inst, 2)
+        exact_bottleneck_tour(inst, range(6))
