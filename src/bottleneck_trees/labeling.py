@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import AlgorithmInvariantError, PartitionError
-from .metric import _check_disjoint_groups, _point_ids
+from .metric import _disjoint_union, _id_groups
 
 _INF = float("inf")
 
@@ -26,19 +26,19 @@ class Labeling:
 
 
 def _validate_double_partition(a_groups, b_groups):
-    a = [_point_ids(g, "first partition") for g in a_groups]
-    b = [_point_ids(g, "second partition") for g in b_groups]
+    a = _id_groups(a_groups, "first partition")
+    b = _id_groups(b_groups, "second partition")
     if not a or not b:
         raise PartitionError("both partitions must contain at least one group")
     if len(a) != len(b):
         raise PartitionError("both partitions must have the same number of groups")
     size = len(a[0])
-    universes = []
-    for name, family in (("first", a), ("second", b)):
-        if any(len(g) != size for g in family):
-            raise PartitionError(f"{name} partition has groups of unequal size")
-        universes.append(_check_disjoint_groups(family, f"{name} partition group"))
-    if universes[0] != universes[1]:
+    if any(len(g) != size for g in a):
+        raise PartitionError("first partition has groups of unequal size")
+    universe = _disjoint_union(a, "first partition group")
+    if any(len(g) != size for g in b):
+        raise PartitionError("second partition has groups of unequal size")
+    if _disjoint_union(b, "second partition group") != universe:
         raise PartitionError("the two partitions must cover the same universe")
     return a, b, size
 

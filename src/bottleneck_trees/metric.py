@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import DomainError, IdentifierError, PartitionError
 
@@ -102,27 +103,20 @@ class MetricInstance:
     def points(self) -> range:
         return range(self.point_count)
 
-    def _check_id(self, p: int) -> None:
-        if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < self.point_count:
-            raise IdentifierError(f"point id {p!r} not in 0..{self.point_count - 1}")
-
     def _check_ids(self, ids) -> None:
-        """`_check_id` on every id of a collection, at C speed.
-
-        One type pass and one range check when every id is an int; id by id
-        otherwise, so the error names the first bad id.
-        """
+        """IdentifierError unless every id of a sequence is a point id: one C-level
+        type pass and range check, and id by id only to name the first bad one."""
         if not ids:
             return
         if set(map(type, ids)) <= _INT and min(ids) >= 0 and max(ids) < self.point_count:
             return
         for p in ids:
-            self._check_id(p)
+            if not _is_int(p) or not 0 <= p < self.point_count:
+                raise IdentifierError(f"point id {p!r} not in 0..{self.point_count - 1}")
 
     def distance(self, u: int, v: int) -> float:
         """Distance between two points; symmetric and zero on the diagonal."""
-        self._check_id(u)
-        self._check_id(v)
+        self._check_ids((u, v))
         if self.matrix is not None:
             return self.matrix[u][v]
         assert self.coordinates is not None
@@ -194,28 +188,30 @@ def _is_int(value) -> bool:
 
 
 def _check_int_ids(ids, what: str) -> None:
-    """Each id must be an int, not a bool."""
-    for p in ids:
-        if not _is_int(p):
-            raise DomainError(f"{what} id {p!r} is not an integer")
+    """DomainError unless every id of a sequence (never a generator) is an int,
+    not a bool: one C-level type pass, and id by id only to name a bad one."""
+    if not set(map(type, ids)) <= _INT:
+        for p in ids:
+            if not _is_int(p):
+                raise DomainError(f"{what} id {p!r} is not an integer")
 
 
-def _point_ids(group, what: str) -> tuple[int, ...]:
-    """The group's ids in ascending order; each must be an int, not a bool."""
-    ids = tuple(group)
-    _check_int_ids(ids, f"{what} point")
-    return tuple(sorted(ids))
+def _id_groups(groups, what: str) -> tuple[tuple[int, ...], ...]:
+    """The groups as ascending tuples of int ids, checked in one pass."""
+    groups = list(map(tuple, groups))
+    _check_int_ids(list(chain.from_iterable(groups)), f"{what} point")
+    return tuple(map(tuple, map(sorted, groups)))
 
 
-def _check_disjoint_groups(groups, what: str) -> set[int]:
-    """The union of the groups, which must not share or repeat a point."""
-    seen: set[int] = set()
-    for group in groups:
-        for p in group:
-            if p in seen:
-                raise PartitionError(f"point {p} appears in more than one {what}")
-            seen.add(p)
-    return seen
+def _disjoint_union(groups, what: str) -> set[int]:
+    """The union of ascending int groups, which must not share or repeat a point."""
+    flat = list(chain.from_iterable(groups))
+    union = set(flat)
+    if len(union) != len(flat):
+        seen: set[int] = set()
+        p = next(p for p in flat if p in seen or seen.add(p))  # the first one seen twice
+        raise PartitionError(f"point {p} appears in more than one {what}")
+    return union
 
 
 @dataclass(frozen=True)
@@ -228,14 +224,12 @@ class TuplePartition:
     def __post_init__(self) -> None:
         if not _is_int(self.k) or self.k < 2:
             raise PartitionError(f"tuple size k must be an integer of at least 2, got {self.k!r}")
-        groups = tuple(_point_ids(g, "tuple") for g in self.tuples)
+        groups = _id_groups(self.tuples, "tuple")
         if not groups:
             raise PartitionError("at least one tuple is required")
         if any(len(g) != self.k for g in groups):
             raise PartitionError(f"every tuple must have exactly {self.k} points")
-        universe = _check_disjoint_groups(groups, "tuple")
-        expected = set(range(self.k * len(groups)))
-        if universe != expected:
+        if _disjoint_union(groups, "tuple") != set(range(self.k * len(groups))):
             raise PartitionError(
                 f"tuples must cover exactly the points 0..{self.k * len(groups) - 1}"
             )
@@ -262,12 +256,12 @@ class ClusterPartition:
             raise PartitionError(
                 f"maximum cluster size k must be an integer of at least 2, got {self.k!r}"
             )
-        groups = tuple(_point_ids(g, "cluster") for g in self.clusters)
+        groups = _id_groups(self.clusters, "cluster")
         if not groups:
             raise PartitionError("at least one cluster is required")
         if any(not 1 <= len(g) <= self.k for g in groups):
             raise PartitionError(f"every cluster must have between 1 and {self.k} points")
-        _check_disjoint_groups(groups, "cluster")
+        _disjoint_union(groups, "cluster")
         object.__setattr__(self, "clusters", groups)
 
     def point_ids(self) -> list[int]:

@@ -12,13 +12,13 @@ The MST is one dense Prim kernel (O(n^2) time, O(n) extra memory) with the
 everything else from its edges, and the exact oracles read their group
 thresholds from the same kernel.
 
-Validation happens at the boundary.  A `Tree` built by hand or read by
-`tree_from_dict` checks its id types and its structure.  Trees derived from
-a valid tree (the MST, `rooted_at`, the sides of `split_tree_at_edge`) are
-trusted and built by `Tree._from_valid` without checks.  Trees wired from
-new edges over a source tree's nodes go through `Tree._wired`, which checks
-their structure but not their id types.  Distance reads over a tree are one
-range check on its nodes, not two id checks per edge.
+Validation happens at the boundary, and metric.py's one C-speed id check,
+`_check_int_ids`, decides what a node id is: a hand-built `Tree`, a tree
+document, and every node argument (`Tree._check_nodes`) go through it.
+Trees derived from a valid tree (the MST, `rooted_at`, the sides of
+`split_tree_at_edge`) are built by `Tree._from_valid` without checks; trees
+wired from new edges (`Tree._wired`) check their structure, not their ids.
+Distance reads over a tree are one `_check_ids` pass over its nodes.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, repeat
+from itertools import chain, compress, repeat
 from operator import le
 
 from .errors import DomainError, IdentifierError
@@ -100,7 +100,7 @@ class Tree:
         nodes = frozenset(self.nodes)
         edges = tuple(self.edges)
         _check_int_ids(nodes, "tree node")
-        _check_int_ids((x for e in edges for x in e), "tree edge endpoint")
+        _check_int_ids(list(chain.from_iterable(edges)), "tree edge endpoint")
         if self.root is not None:
             _check_int_ids((self.root,), "tree root")
         edges = tuple(_normalize_edge(u, v) for u, v in edges)
@@ -155,12 +155,17 @@ class Tree:
         """Nodes of degree at most one, ascending (a lone node counts)."""
         return sorted(v for v, nbrs in self.adjacency.items() if len(nbrs) <= 1)
 
+    def _check_nodes(self, *ids, what: str = "tree node") -> None:
+        """IdentifierError unless each id is a node; DomainError unless an int."""
+        for v in ids:
+            if v not in self.nodes:
+                raise IdentifierError(f"node {v} is not in the tree")
+        _check_int_ids(ids, what)
+
     def rooted_at(self, root: int) -> "Tree":
-        if root not in self.nodes:
-            raise IdentifierError(f"node {root} is not in the tree")
+        self._check_nodes(root, what="tree root")
         if root == self.root:
             return self
-        _check_int_ids((root,), "tree root")
         return Tree._from_valid(self.nodes, self.edges, root)
 
     @cached_property
@@ -218,6 +223,7 @@ class Tree:
 
     def subtree_nodes(self, v: int) -> set[int]:
         """Nodes of the subtree rooted at v, for the current root."""
+        self._check_nodes(v)
         kids = self.children_map()
         out: set[int] = set()
         stack = [v]
@@ -340,10 +346,7 @@ def forest_bottleneck(forest: Forest, instance: MetricInstance) -> float:
 
 def hop_distance(tree: Tree, u: int, v: int) -> int:
     """Number of edges on the unique tree path between u and v."""
-    if u not in tree.nodes:
-        raise IdentifierError(f"node {u} is not in the tree")
-    if v not in tree.nodes:
-        raise IdentifierError(f"node {v} is not in the tree")
+    tree._check_nodes(u, v)
     parent, depth, _ = tree._rooting
     hops = 0
     while depth[u] > depth[v]:
@@ -440,6 +443,7 @@ def cube_hamiltonian_path(tree: Tree, u: int, v: int) -> list[int]:
 
     (u, v) must be an edge of the tree.
     """
+    tree._check_nodes(u, v)
     if _normalize_edge(u, v) not in tree.edge_set:
         raise DomainError(f"({u}, {v}) is not an edge of the tree")
     return _cube_order(tree, [u, v])
@@ -451,8 +455,7 @@ def cube_hamiltonian_path_between(tree: Tree, a: int, b: int) -> list[int]:
     Such a path exists in the cube of every tree (Sekanina 1960).  On a
     path-shaped tree with a and b as its two ends this is the path itself.
     """
-    if a not in tree.nodes or b not in tree.nodes:
-        raise IdentifierError("both endpoints must be nodes of the tree")
+    tree._check_nodes(a, b)
     if a == b:
         raise DomainError("endpoints must be distinct")
     parent = {a: a}

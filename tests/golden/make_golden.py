@@ -80,6 +80,27 @@ def _chain_matrix(count: int, seed: int):
     return write
 
 
+def _gapped_clusters(clusters: int, size: int, seed: int):
+    """Collinear clusters of `size` points, the gaps between them doubling.
+
+    Each longest MST edge is the widest remaining gap, so PBST with k =
+    clusters peels one whole cluster per split; the points are shuffled, so
+    every cluster mixes low and high ids.
+    """
+
+    def write(path: Path) -> int:
+        rng = random.Random(seed)
+        xs = []
+        start = 0.0
+        for j in range(clusters):
+            xs += [start + rng.random() for _ in range(size)]
+            start += 1.0 + 4.0 * 2**j
+        rng.shuffle(xs)
+        return _write_document({"points": {"coordinates": [[x] for x in xs]}}, path)
+
+    return write
+
+
 # name -> writer of the instance document at the given path.
 INSTANCES_SPEC = {
     "euclid2d-tuples2": _gen("--kind", "euclidean", "--n", "240", "--dim", "2",
@@ -116,6 +137,7 @@ INSTANCES_SPEC = {
     "tiny-metric-clusters": _gen("--kind", "random-metric", "--n", "9",
                                  "--partition", "clusters", "--seed", "63"),
     "fixture-gbst-path8": _gen("--kind", "fixture-gbst-path8"),
+    "gapped-clusters5x3": _gapped_clusters(5, 3, 71),
 }
 
 # One sweep over every problem; `exact` is true, false and absent.

@@ -507,13 +507,31 @@ def test_trusted_reads_keep_the_id_type_checks():
 
 
 def test_derived_trees_reject_bool_ids():
-    tree = Tree(frozenset({0, 1, 2}), ((0, 1), (1, 2)))
-    with pytest.raises(DomainError):
-        tree.rooted_at(True)
-    with pytest.raises(DomainError):
-        split_tree_at_edge(tree, (True, 2))
-    with pytest.raises(IdentifierError):
-        tree.rooted_at(1.5)
+    tree = Tree(frozenset({0, 1, 2, 3}), ((0, 1), (1, 2), (2, 3)))
+    rooted = tree.rooted_at(0)
+    for call in (
+        lambda: tree.rooted_at(True),
+        lambda: tree.rooted_at(1).rooted_at(True),
+        lambda: split_tree_at_edge(tree, (True, 2)),
+        lambda: cube_hamiltonian_path(tree, True, 2),
+        lambda: cube_hamiltonian_path(tree, 2, 1.0),
+        lambda: cube_hamiltonian_path_between(tree, 1.0, 3),
+        lambda: cube_hamiltonian_path_between(tree, 0, True),
+        lambda: hop_distance(tree, True, 3),
+        lambda: hop_distance(tree, 0, 2.0),
+        lambda: rooted.subtree_nodes(True),
+    ):
+        with pytest.raises(DomainError, match="is not an integer"):
+            call()
+    for call in (
+        lambda: tree.rooted_at(1.5),
+        lambda: cube_hamiltonian_path(tree, 3, 9),
+        lambda: cube_hamiltonian_path_between(tree, 9, 3),
+        lambda: hop_distance(tree, 0, 9),
+        lambda: rooted.subtree_nodes(9),
+    ):
+        with pytest.raises(IdentifierError, match="node 9|node 1.5"):
+            call()
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
