@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from collections import defaultdict
@@ -31,13 +32,14 @@ from bottleneck_trees import (
 )
 from bottleneck_trees.generators import (
     euclidean_instance,
+    path_metric,
     random_clusters,
     random_metric_instance,
     random_tree,
     random_tuples,
     spider_tree,
 )
-from bottleneck_trees.trees import tree_from_dict, tree_to_dict
+from bottleneck_trees.trees import _mst_triples, tree_from_dict, tree_to_dict
 
 random_trees = st.builds(
     lambda n, seed: random_tree(n, random.Random(seed)),
@@ -178,6 +180,53 @@ def test_mst_matches_all_pairs_kruskal(kind):
             mst = minimum_spanning_tree(inst, subset)
             assert mst.nodes == frozenset(subset)
             assert mst.edges == _kruskal_reference(inst, subset)
+
+
+def _signed_zero_chain(n, rng):
+    """Integer points on a line as a symmetric matrix whose zero distances
+    are 0.0 or -0.0 at random: many exact ties, and zeros equal under ==
+    that repr tells apart."""
+    xs = [rng.randint(0, n // 2) for _ in range(n)]
+    rows = [[float(abs(a - b)) for b in xs] for a in xs]
+    for u in range(n):
+        for v in range(u, n):
+            if not rows[u][v]:
+                rows[u][v] = rows[v][u] = rng.choice((0.0, -0.0))
+    return MetricInstance.from_matrix(rows)
+
+
+def _signed_zero_weights(n, rng):
+    """Symmetric weights 0.0, -0.0, 1 or 2 that break the triangle
+    inequality, so tied zero keys can reach the tree through different
+    points."""
+    rows = [[0.0] * n for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        rows[u][v] = rows[v][u] = rng.choice((0.0, -0.0, 1.0, 2.0))
+    return MetricInstance.from_matrix(rows)
+
+
+def test_mst_outputs_are_pinned():
+    # Exact (distance, u, v) triples of the MST kernel, in order and with the
+    # sign of every zero, on seeded matrix instances and random subsets, so
+    # any rewrite of the matrix relaxation must return byte-identical trees.
+    rng = random.Random(20)
+    kinds = (
+        lambda n: random_metric_instance(n, rng),
+        lambda n: path_metric(random_tree(n, rng)),
+        lambda n: _signed_zero_chain(n, rng),
+        lambda n: _signed_zero_weights(n, rng),
+        lambda n: MetricInstance.from_matrix(
+            [[float(u != v) for v in range(n)] for u in range(n)]
+        ),
+    )
+    outputs = []
+    for i in range(250):
+        n = rng.randint(1, 40)
+        inst = kinds[i % 5](n)
+        for subset in (range(n), rng.sample(range(n), rng.randint(1, n))):
+            outputs.append(_mst_triples(inst, sorted(subset)))
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == "5cddf646e5eb85f33be12a83bcb625e0f40027a00874336f4e843b1e69e33d51"
 
 
 def test_mst_ties_break_by_edge_order():
