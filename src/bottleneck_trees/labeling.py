@@ -40,6 +40,8 @@ def _validate_double_partition(a_groups, b_groups):
         raise PartitionError("second partition has groups of unequal size")
     if _disjoint_union(b, "second partition group") != universe:
         raise PartitionError("the two partitions must cover the same universe")
+    if size == 0:
+        raise PartitionError("partition groups must hold at least one point")
     return a, b, size
 
 

@@ -33,6 +33,8 @@ class TourResult:
 def tour_bottleneck(tour, instance: MetricInstance) -> float:
     """Longest step of the cyclic tour, wrap-around included."""
     instance._check_ids(tour)
+    if not tour:
+        raise DomainError("an empty tour has no bottleneck")
     return max(instance._lengths(zip(tour, [*tour[1:], *tour[:1]])))
 
 

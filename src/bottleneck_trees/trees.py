@@ -10,7 +10,11 @@ between the two ends builds every such path and cycle here.
 The MST is one dense Prim kernel (O(n^2) time, O(n) extra memory) with the
 (distance, u, v) tie-break; each solver builds one per solve and derives
 everything else from its edges, and the exact oracles read their group
-thresholds from the same kernel.
+thresholds from the same kernel.  Coordinates and matrices relax its keys
+in two ways: a coordinate row costs fresh `math.dist` calls, so each key
+keeps its tree end as it improves; a matrix row is stored, so the keys are
+updated in one list comprehension and the picked point's tree end is read
+back from its own row.
 
 Validation happens at the boundary, and metric.py's one C-speed id check,
 `_check_int_ids`, decides what a node id is: a hand-built `Tree`, a tree
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, compress, repeat
-from operator import le
+from operator import itemgetter, le
 
 from .errors import DomainError, IdentifierError
 from .metric import MetricInstance, _check_int_ids
@@ -255,30 +259,29 @@ def _mst_triples(instance: MetricInstance, points: list[int]) -> list[tuple[floa
 
     `points` are distinct ids in ascending order that the caller has checked.
     Dense Prim: O(n^2) time, O(n) extra memory, one distance row per added
-    node (`math.dist` on coordinates, or the matrix row, which is assumed
-    symmetric).  Candidates compare on the strict total order (distance, u, v),
-    so the tree is unique and equals the Kruskal tree of that order.  The
-    last triple holds the bottleneck; a single point has no triples.
+    node.  Candidates compare on the strict total order (distance, u, v), so
+    the tree is unique and equals the Kruskal tree of that order.  The last
+    triple holds the bottleneck; a single point has no triples.
+
+    Each instance kind keeps its own relaxation.  Coordinates keep each
+    outside point's tree end (`via`) as its key improves, because finding it
+    again later would cost fresh `math.dist` calls.  A matrix row is already
+    stored, so `_matrix_mst_triples` keeps only the keys and reads the tree
+    end back from the picked point's row.
     """
     if len(points) == 1:
         return []
+    if instance.matrix is not None:
+        return _matrix_mst_triples(instance.matrix, points)
     # rest[i] is outside the tree; its cheapest link into the tree is
     # (best[i], via[i]), and targets[i] is what its distances are read from.
     rest = points[1:]
-    if instance.coordinates is not None:
-        coords = instance.coordinates
-        targets = [coords[p] for p in rest]
+    coords = instance.coordinates
+    assert coords is not None
+    targets = [coords[p] for p in rest]
 
-        def row(x: int) -> list[float]:
-            return list(map(math.dist, repeat(coords[x]), targets))
-
-    else:
-        assert instance.matrix is not None
-        matrix = instance.matrix
-        targets = rest[:]
-
-        def row(x: int) -> list[float]:
-            return list(map(matrix[x].__getitem__, targets))
+    def row(x: int) -> list[float]:
+        return list(map(math.dist, repeat(coords[x]), targets))
 
     best = row(points[0])
     via = [points[0]] * len(rest)
@@ -303,6 +306,78 @@ def _mst_triples(instance: MetricInstance, points: list[int]) -> list[tuple[floa
             if nd < best[j] or _normalize_edge(y, rest[j]) < _normalize_edge(via[j], rest[j]):
                 best[j] = nd
                 via[j] = y
+    chosen.sort()
+    return chosen
+
+
+def _matrix_mst_triples(
+    matrix: tuple[tuple[float, ...], ...], points: list[int]
+) -> list[tuple[float, int, int]]:
+    """`_mst_triples` on a matrix, which is assumed symmetric.
+
+    Each step updates the keys with one list comprehension and keeps no tree
+    end per key, so no Python loop runs over the keys that improve (on a
+    path-shaped input, nearly all of them).  The (distance, u, v) order links
+    the picked point y, at key d, to the smallest tree id at distance d: the
+    first tree column of y's own row that holds d.  Among tied keys the
+    smallest (min, max) edge at d wins.  That is y's edge, unless a tree
+    point below both its ends is at d from the rest; then the smallest such
+    point links to the smallest outside point at d.
+
+    An asymmetric matrix may have no tree column at d in y's row; the tree's
+    rows are read instead, so the result is still a spanning tree.
+    """
+    rest = points[1:]
+    first = points[0]  # no tree id is smaller
+    # reach[t] <= tree point t's distance to the rest, which only grows as
+    # the rest shrinks; -inf until first read, and +inf off the tree
+    reach = [math.inf] * len(matrix)
+    reach[first] = -math.inf
+
+    def row(x: int) -> tuple[float, ...]:
+        if len(rest) == 1:
+            return (matrix[x][rest[0]],)
+        return itemgetter(*rest)(matrix[x])
+
+    def tree_end(y: int, d: float) -> int:
+        """The smallest tree id at distance d from y."""
+        line = matrix[y]
+        try:
+            t = line.index(d, first)
+            while reach[t] == math.inf:
+                t = line.index(d, t + 1)
+            return t
+        except ValueError:  # an asymmetric matrix: read the tree's rows
+            return next(t for t, r in enumerate(reach) if r < math.inf and matrix[t][y] == d)
+
+    best = list(row(first))
+    chosen: list[tuple[float, int, int]] = []
+    while True:
+        d = min(best)
+        i = best.index(d)
+        y = rest[i]
+        x = tree_end(y, d)
+        # The triple carries the first tied key as its tree end's row holds
+        # it, as the coordinate loop does; equal keys differ at most in a
+        # zero's sign.
+        dist = matrix[x][y]
+        if best.count(d) > 1:
+            # a tree point below both ends at d from the rest has a smaller edge
+            below = min(x, y)
+            for t in compress(range(first, below), map(le, reach[first:below], repeat(d))):
+                line = row(t)
+                reach[t] = min(line)
+                if reach[t] == d:
+                    i = line.index(d)
+                    x, y = t, rest[i]
+                    break
+        del rest[i]
+        chosen.append((dist, *_normalize_edge(x, y)))
+        reach[y] = -math.inf
+        del best[i]
+        if not rest:
+            break
+        best = [a if a <= b else b for a, b in zip(best, row(y))]
     chosen.sort()
     return chosen
 

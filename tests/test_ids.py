@@ -255,6 +255,9 @@ def test_partitions_match_the_reference(case):
 def test_double_partitions_match_the_reference(case):
     k, a, b = case
     want = _outcome(_validate_double_partition, a, b)
+    if want[0] == "ok" and want[1][2] == 0:
+        # the one departure from the reference: empty groups are rejected
+        want = (PartitionError, "partition groups must hold at least one point")
     status, got = _outcome(labeling._validate_double_partition, a, b)
     if want[0] != "ok":
         assert (status, got) == want
@@ -270,6 +273,16 @@ def test_double_partitions_match_the_reference(case):
     assert _outcome(konig_labeling, a, b, k) == _outcome(konig_labeling, ref_a, ref_b, k)
     if size == k:
         assert is_valid_labeling(konig_labeling(a, b, k), a, b)
+
+
+def test_empty_groups_are_a_partition_error():
+    # The reference accepts them; the matching then fails as if the package
+    # had a bug (AlgorithmInvariantError), or the labeling hits an IndexError.
+    for a, b in (([()], [()]), ([(), ()], [(), ()])):
+        with pytest.raises(PartitionError, match="at least one point"):
+            representatives(a, b)
+        with pytest.raises(PartitionError, match="at least one point"):
+            konig_labeling(a, b, 0)
 
 
 @given(tree_parts())
@@ -297,6 +310,9 @@ def test_instance_ids_match_the_reference(ids):
         elif ids:
             assert minimum_spanning_tree(inst, ids).nodes == frozenset(ids)
             assert tour_bottleneck(ids, inst) >= 0.0
+        else:
+            assert _outcome(minimum_spanning_tree, inst, ids)[0] is DomainError
+            assert _outcome(tour_bottleneck, ids, inst)[0] is DomainError
         for u, v in zip(ids, ids[1:]):
             want = _outcome(lambda: (_check_id(inst, u), _check_id(inst, v)))
             got = _outcome(inst.distance, u, v)

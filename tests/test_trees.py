@@ -163,13 +163,22 @@ def _seeded_instance(kind, n, rng):
         return euclidean_instance(rng.randint(1, 3), n, rng)
     if kind == "random-metric":
         return random_metric_instance(n, rng)
+    if kind == "hop-matrix":
+        return path_metric(random_tree(n, rng))
+    if kind == "integer-chain-matrix":
+        # collinear points as a matrix, as perfbench's chain-1d, on a coarse
+        # grid: a path MST with many equal distances and repeated points
+        xs = [rng.randint(0, n) for _ in range(n)]
+        return MetricInstance.from_matrix([[abs(a - b) for b in xs] for a in xs])
     # small integer grid: many exactly equal distances
     return MetricInstance.from_coordinates(
         [(rng.randint(0, 3), rng.randint(0, 3)) for _ in range(n)]
     )
 
 
-@pytest.mark.parametrize("kind", ["euclidean", "random-metric", "integer-grid"])
+@pytest.mark.parametrize(
+    "kind", ["euclidean", "random-metric", "integer-grid", "hop-matrix", "integer-chain-matrix"]
+)
 def test_mst_matches_all_pairs_kruskal(kind):
     rng = random.Random(kind)
     for _ in range(40):
@@ -227,6 +236,21 @@ def test_mst_outputs_are_pinned():
             outputs.append(_mst_triples(inst, sorted(subset)))
     digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
     assert digest == "5cddf646e5eb85f33be12a83bcb625e0f40027a00874336f4e843b1e69e33d51"
+
+
+def test_mst_spans_an_asymmetric_matrix():
+    # from_matrix does not check symmetry; the matrix kernel then need not
+    # find a tree column at the key's distance in the picked point's row.
+    inst = MetricInstance.from_matrix([[0, 1, 5], [2, 0, 1], [5, 3, 0]])
+    assert _mst_triples(inst, [0, 1, 2]) == [(1.0, 0, 1), (1.0, 1, 2)]
+    rng = random.Random(4)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        values = rng.choice([(0.0, -0.0, 1.0, 2.0), (1.0, 2.0, 3.0)])
+        inst = MetricInstance.from_matrix([[rng.choice(values) for _ in range(n)] for _ in range(n)])
+        subset = rng.sample(range(n), rng.randint(1, n))
+        mst = minimum_spanning_tree(inst, subset)
+        assert Tree(mst.nodes, mst.edges).nodes == frozenset(subset)
 
 
 def test_mst_ties_break_by_edge_order():
