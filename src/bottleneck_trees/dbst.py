@@ -20,6 +20,7 @@ from .metric import MetricInstance, TuplePartition, _is_int
 from .trees import (
     Forest,
     Tree,
+    _normalize_edge,
     forest_bottleneck,
     longest_edge,
     minimum_spanning_tree,
@@ -219,11 +220,15 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
     mst = minimum_spanning_tree(instance, instance.points())
     _, mst_bot = longest_edge(mst, instance)
 
+    rooted = mst.rooted_at(min(mst.leaves()))
     if k == 2:
-        for e, d in zip(mst.edges, instance._lengths(mst.edges)):
-            if d != mst_bot:
-                continue
-            side_u, side_v = split_tree_at_edge(mst, e)
+        # A side with one point of every pair holds half the points.  Only
+        # the edge above a half-size subtree cuts off such a side, and a tree
+        # has at most one: two would leave an empty part between them.
+        size = rooted.subtree_sizes()
+        cut = [_normalize_edge(v, rooted.parent_map[v]) for v in size if 2 * size[v] == len(size)]
+        if cut and instance._lengths(cut) == [mst_bot]:
+            side_u, side_v = split_tree_at_edge(rooted, cut[0])
             if all(len(side_u.nodes & set(t)) == 1 for t in tuples.tuples):
                 forest = Forest((side_u, side_v))
                 labels = tuple(
@@ -239,7 +244,6 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
                     buckets=None,
                 )
 
-    rooted = mst.rooted_at(min(mst.leaves()))
     forest, bp, lab = forest_from_tree(rooted, tuples)
     labels = tuple(lab.labels[p] for p in instance.points())
     return DbstResult(

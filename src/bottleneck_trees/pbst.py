@@ -39,7 +39,7 @@ def _edges_within(edges, nodes) -> tuple[tuple[int, int], ...]:
 
 def _cut(t: Tree, v: int) -> tuple[Tree, Tree]:
     """The subtree of t at v, rooted at v, and the rest of t."""
-    below = frozenset(t.subtree_nodes(v))
+    below = frozenset(t._below(v))
     rest = t.nodes - below
     return (
         Tree._from_valid(below, _edges_within(t.edges, below), v),
@@ -50,25 +50,17 @@ def _cut(t: Tree, v: int) -> tuple[Tree, Tree]:
 def _branches(t: Tree, x: int) -> list[tuple[int, set[int], tuple[tuple[int, int], ...]]]:
     """(u, nodes, edges) of the subtree at each child u of x, u ascending.
 
-    One children map and one pass over t's edges, which keep their order.
+    Each subtree is a slice of t's preorder; one pass over t's edges, which
+    keep their order, sorts them into the subtrees.
     """
-    children = t.children_map()
-    top: dict[int, int] = {}
-    below: dict[int, set[int]] = {}
-    for u in children[x]:
-        below[u] = set()
-        stack = [u]
-        while stack:
-            y = stack.pop()
-            top[y] = u
-            below[u].add(y)
-            stack.extend(children[y])
-    inner: dict[int, list[tuple[int, int]]] = {u: [] for u in children[x]}
+    children = t.children_map()[x]
+    top = {y: u for u in children for y in t._below(u)}
+    inner: dict[int, list[tuple[int, int]]] = {u: [] for u in children}
     for e in t.edges:
         u = top.get(e[0])
         if u is not None and top.get(e[1]) == u:
             inner[u].append(e)
-    return [(u, below[u], tuple(inner[u])) for u in children[x]]
+    return [(u, set(t._below(u)), tuple(inner[u])) for u in children]
 
 
 def _hang(t: Tree, x: int, branch) -> Tree:

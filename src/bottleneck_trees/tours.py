@@ -32,6 +32,7 @@ class TourResult:
 
 def tour_bottleneck(tour, instance: MetricInstance) -> float:
     """Longest step of the cyclic tour, wrap-around included."""
+    tour = tuple(tour)
     instance._check_ids(tour)
     if not tour:
         raise DomainError("an empty tour has no bottleneck")

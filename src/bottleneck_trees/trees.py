@@ -7,6 +7,10 @@ three tree edges apart).  The cube of a tree has a Hamiltonian path between
 any two nodes (Sekanina 1960); one linear traversal along the tree path
 between the two ends builds every such path and cycle here.
 
+Each tree caches one DFS preorder from its root (else its lowest node), with
+parents and depths; v's subtree is `preorder[start[v] : start[v] + size[v]]`,
+so subtrees and the sides of a split are slices, not walks.
+
 The MST is one dense Prim kernel (O(n^2) time, O(n) extra memory) with the
 (distance, u, v) tie-break; each solver builds one per solve and derives
 everything else from its edges, and the exact oracles read their group
@@ -101,12 +105,15 @@ class Tree:
     root: int | None = None
 
     def __post_init__(self) -> None:
-        nodes = frozenset(self.nodes)
+        ids = list(self.nodes)
         edges = tuple(self.edges)
-        _check_int_ids(nodes, "tree node")
+        _check_int_ids(ids, "tree node")
+        if not all(isinstance(e, (tuple, list)) and len(e) == 2 for e in edges):
+            raise DomainError("tree edges must be [u, v] pairs")
         _check_int_ids(list(chain.from_iterable(edges)), "tree edge endpoint")
         if self.root is not None:
             _check_int_ids((self.root,), "tree root")
+        nodes = frozenset(ids)
         edges = tuple(_normalize_edge(u, v) for u, v in edges)
         _check_structure(nodes, edges, self.root)
         object.__setattr__(self, "nodes", nodes)
@@ -173,21 +180,39 @@ class Tree:
         return Tree._from_valid(self.nodes, self.edges, root)
 
     @cached_property
-    def _rooting(self) -> tuple[dict[int, int | None], dict[int, int], tuple[int, ...]]:
+    def _rooting(self) -> tuple[dict[int, int | None], dict[int, int], list[int]]:
+        """Parents, depths and a DFS preorder from the root, else the lowest node."""
+        adj = self.adjacency
         anchor = self.root if self.root is not None else min(self.nodes)
         parent: dict[int, int | None] = {anchor: None}
         depth: dict[int, int] = {anchor: 0}
-        order = [anchor]
-        i = 0
-        while i < len(order):
-            u = order[i]
-            i += 1
-            for w in self.adjacency[u]:
-                if w not in parent:
+        order: list[int] = []
+        stack = [anchor]
+        while stack:
+            u = stack.pop()
+            order.append(u)
+            p, d = parent[u], depth[u] + 1
+            for w in adj[u]:
+                if w != p:
                     parent[w] = u
-                    depth[w] = depth[u] + 1
-                    order.append(w)
-        return parent, depth, tuple(order)
+                    depth[w] = d
+                    stack.append(w)
+        return parent, depth, order
+
+    @cached_property
+    def _spans(self) -> tuple[dict[int, int], dict[int, int]]:
+        """(size, start): v's subtree is preorder[start[v] : start[v] + size[v]]."""
+        parent, _, order = self._rooting
+        size = dict.fromkeys(order, 1)
+        for v in reversed(order[1:]):  # children before parents
+            size[parent[v]] += size[v]
+        return size, dict(zip(order, range(len(order))))
+
+    def _below(self, v: int) -> list[int]:
+        """v's subtree under the current rooting, in preorder."""
+        size, start = self._spans
+        i = start[v]
+        return self._rooting[2][i : i + size[v]]
 
     def _require_root(self) -> None:
         if self.root is None:
@@ -216,26 +241,14 @@ class Tree:
 
     def subtree_sizes(self) -> dict[int, int]:
         """Number of nodes in the subtree rooted at each node, root included."""
-        parent, _, order = self._rooting
         self._require_root()
-        size = {v: 1 for v in self.nodes}
-        for v in reversed(order):
-            p = parent[v]
-            if p is not None:
-                size[p] += size[v]
-        return size
+        return dict(self._spans[0])
 
     def subtree_nodes(self, v: int) -> set[int]:
         """Nodes of the subtree rooted at v, for the current root."""
         self._check_nodes(v)
-        kids = self.children_map()
-        out: set[int] = set()
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            out.add(x)
-            stack.extend(kids[x])
-        return out
+        self._require_root()
+        return set(self._below(v))
 
 
 @dataclass(frozen=True)
@@ -444,18 +457,12 @@ def split_tree_at_edge(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree]:
         raise DomainError(f"({edge[0]}, {edge[1]}) is not an edge of the tree")
     _check_int_ids(e, "tree edge endpoint")
     u, v = e
-    side_u = {u}
-    stack = [u]
-    while stack:
-        x = stack.pop()
-        for w in tree.adjacency[x]:
-            if w not in side_u and _normalize_edge(x, w) != e:
-                side_u.add(w)
-                stack.append(w)
-    side_v = tree.nodes - side_u
+    below = frozenset(tree._below(v if tree._rooting[0][v] == u else u))
+    rest = tree.nodes - below
+    side_u, side_v = (rest, below) if v in below else (below, rest)
     edges_u = tuple(f for f in tree.edges if f != e and f[0] in side_u)
     edges_v = tuple(f for f in tree.edges if f != e and f[0] in side_v)
-    return Tree._from_valid(frozenset(side_u), edges_u), Tree._from_valid(side_v, edges_v)
+    return Tree._from_valid(side_u, edges_u), Tree._from_valid(side_v, edges_v)
 
 
 def _cube_order(tree: Tree, spine: list[int]) -> list[int]:
@@ -533,19 +540,14 @@ def cube_hamiltonian_path_between(tree: Tree, a: int, b: int) -> list[int]:
     tree._check_nodes(a, b)
     if a == b:
         raise DomainError("endpoints must be distinct")
-    parent = {a: a}
-    stack = [a]
-    while b not in parent:
-        x = stack.pop()
-        for w in tree.adjacency[x]:
-            if w not in parent:
-                parent[w] = x
-                stack.append(w)
-    spine = [b]
-    while spine[-1] != a:
-        spine.append(parent[spine[-1]])
-    spine.reverse()
-    return _cube_order(tree, spine)
+    parent, depth, _ = tree._rooting
+    up, down = [a], [b]
+    while up[-1] != down[-1]:  # the deeper end is not where the two paths meet
+        if depth[up[-1]] >= depth[down[-1]]:
+            up.append(parent[up[-1]])
+        else:
+            down.append(parent[down[-1]])
+    return _cube_order(tree, up + down[-2::-1])
 
 
 def cube_hamiltonian_cycle(tree: Tree) -> list[int]:
@@ -575,7 +577,4 @@ def tree_from_dict(doc: dict) -> Tree:
     nodes, edges = doc.get("nodes"), doc.get("edges")
     if not isinstance(nodes, list) or not isinstance(edges, list):
         raise DomainError("a tree document needs 'nodes' and 'edges' lists")
-    _check_int_ids(nodes, "tree node")
-    if not all(isinstance(e, list) and len(e) == 2 for e in edges):
-        raise DomainError("tree edges must be [u, v] pairs")
-    return Tree(frozenset(nodes), tuple((u, v) for u, v in edges), root=doc.get("root"))
+    return Tree(nodes, edges, root=doc.get("root"))

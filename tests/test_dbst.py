@@ -7,6 +7,7 @@ import pytest
 from bottleneck_trees import (
     BucketPartition,
     DomainError,
+    Forest,
     MetricInstance,
     PartitionError,
     Tree,
@@ -14,13 +15,18 @@ from bottleneck_trees import (
     bottleneck,
     bucketize,
     exact_dbst,
+    forest_bottleneck,
     forest_from_tree,
     hop_distance,
+    longest_edge,
     minimum_spanning_tree,
     solve_dbst,
+    split_tree_at_edge,
 )
+import bottleneck_trees.dbst as dbst
 from bottleneck_trees.generators import (
     euclidean_instance,
+    path_metric,
     random_metric_instance,
     random_tree,
     random_tuples,
@@ -294,6 +300,81 @@ def test_solve_ratio_k2_against_oracle():
             # tree bottleneck is itself a lower bound on the optimum.
             assert result.mst_bottleneck <= optimal + 1e-9
     assert saw_shortcut_miss
+
+
+def _reference_shortcut(instance, tuples):
+    """solve_dbst's k=2 shortcut as it was: one split of the MST per edge
+    tied at the bottleneck, the first that separates every pair winning."""
+    mst = minimum_spanning_tree(instance, instance.points())
+    _, mst_bot = longest_edge(mst, instance)
+    for e, d in zip(mst.edges, instance._lengths(mst.edges)):
+        if d != mst_bot:
+            continue
+        side_u, side_v = split_tree_at_edge(mst, e)
+        if all(len(side_u.nodes & set(t)) == 1 for t in tuples.tuples):
+            return side_u, side_v
+    return None
+
+
+def _tie_heavy(kind, n, rng):
+    """2n points with many equal distances, and n pairs over them."""
+    ids = rng.sample(range(2 * n), 2 * n)
+    across = TuplePartition(2, zip(ids[:n], rng.sample(ids[n:], n)))
+    if kind == "hop-matrix":
+        return path_metric(random_tree(2 * n, rng)), random_tuples(2 * n, 2, rng)
+    if kind == "integer-grid":
+        coords = [(rng.randrange(4), rng.randrange(4)) for _ in range(2 * n)]
+        return MetricInstance.from_coordinates(coords), random_tuples(2 * n, 2, rng)
+    if kind == "joined-hop-matrix":
+        # two random trees on ids[:n] and ids[n:], joined by one edge: the
+        # hop matrix's MST is that tree, and pairs across the join fit it
+        halves = (ids[:n], ids[n:])
+        edges = [(h[rng.randrange(i)], h[i]) for h in halves for i in range(1, n)]
+        edges.append((rng.choice(ids[:n]), rng.choice(ids[n:])))
+        tree = Tree(frozenset(ids), tuple(edges))
+        return path_metric(tree), across if rng.random() < 0.8 else random_tuples(2 * n, 2, rng)
+    # far clumps: two integer grids 100 apart, ids[:n] in one
+    side = {p: 100 * (i >= n) for i, p in enumerate(ids)}
+    coords = [(rng.randrange(3) + side[p], rng.randrange(3)) for p in range(2 * n)]
+    return MetricInstance.from_coordinates(coords), across
+
+
+def test_shortcut_matches_the_split_per_tied_edge():
+    rng = random.Random(52)
+    fired = 0
+    for trial in range(240):
+        kind = ("hop-matrix", "integer-grid", "joined-hop-matrix", "far-clumps")[trial % 4]
+        inst, tuples = _tie_heavy(kind, rng.randint(1, 12), rng)
+        result = solve_dbst(inst, tuples)
+        want = _reference_shortcut(inst, tuples)
+        assert result.shortcut == (want is not None)
+        if want is not None:
+            fired += 1
+            assert result.forest.trees == want
+            assert result.labels == tuple(0 if p in want[0].nodes else 1 for p in inst.points())
+            assert result.bottleneck == forest_bottleneck(Forest(want), inst)
+    assert 100 <= fired < 240
+
+
+def test_shortcut_splits_the_mst_at_most_once(monkeypatch):
+    calls = []
+
+    def counted(tree, edge):
+        calls.append(edge)
+        return split_tree_at_edge(tree, edge)
+
+    monkeypatch.setattr(dbst, "split_tree_at_edge", counted)
+    # Every MST edge of a hop matrix is tied at the bottleneck length.
+    rng = random.Random(9)
+    n = 200
+    cases = [(path_metric(random_tree(2 * n, rng)), random_tuples(2 * n, 2, rng)) for _ in range(3)]
+    path = Tree(frozenset(range(2 * n)), tuple((i, i + 1) for i in range(2 * n - 1)))
+    cases.append((path_metric(path), TuplePartition(2, [(i, 2 * n - 1 - i) for i in range(n)])))
+    for inst, tuples in cases:
+        calls.clear()
+        result = solve_dbst(inst, tuples)
+        assert len(calls) <= 1
+    assert result.shortcut and calls == [(n - 1, n)]
 
 
 def test_solve_ratio_k3_against_oracle():

@@ -39,7 +39,15 @@ from bottleneck_trees.generators import (
     random_tuples,
     spider_tree,
 )
-from bottleneck_trees.trees import _mst_triples, tree_from_dict, tree_to_dict
+import bottleneck_trees.pbst as pbst
+from bottleneck_trees.trees import (
+    _cube_order,
+    _mst_triples,
+    _normalize_edge,
+    tree_from_dict,
+    tree_to_dict,
+)
+from test_pbst import _shaped_tree
 
 random_trees = st.builds(
     lambda n, seed: random_tree(n, random.Random(seed)),
@@ -93,6 +101,10 @@ def test_tree_validation():
         Tree(frozenset({0, 1, 2}), ((0, 1), (0, 1)))  # duplicate -> cycle
     with pytest.raises(DomainError):
         Tree(frozenset({0, 1}), ((0, 2),))  # endpoint outside
+    with pytest.raises(DomainError, match=r"must be \[u, v\] pairs"):
+        Tree(frozenset({0, 1}), ((0, 1, 2),))
+    with pytest.raises(DomainError, match=r"node id \[0\] is not an integer"):
+        Tree([[0]], ())  # unhashable, so no frozenset could hold it
     single = Tree(frozenset({5}), ())
     assert single.leaves() == [5]
 
@@ -418,6 +430,121 @@ def test_split_tree_at_edge():
     assert right.nodes == frozenset({2, 3, 4})
     with pytest.raises(DomainError):
         split_tree_at_edge(t, (0, 4))
+
+
+# The four walks that the cached preorder replaced, verbatim but for names:
+# Tree.subtree_nodes, split_tree_at_edge, pbst._branches, and the spine
+# search of cube_hamiltonian_path_between.
+def _reference_subtree_nodes(tree, v):
+    kids = tree.children_map()
+    out = set()
+    stack = [v]
+    while stack:
+        x = stack.pop()
+        out.add(x)
+        stack.extend(kids[x])
+    return out
+
+
+def _reference_split(tree, edge):
+    e = _normalize_edge(*edge)
+    u, v = e
+    side_u = {u}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        for w in tree.adjacency[x]:
+            if w not in side_u and _normalize_edge(x, w) != e:
+                side_u.add(w)
+                stack.append(w)
+    side_v = tree.nodes - side_u
+    edges_u = tuple(f for f in tree.edges if f != e and f[0] in side_u)
+    edges_v = tuple(f for f in tree.edges if f != e and f[0] in side_v)
+    return Tree._from_valid(frozenset(side_u), edges_u), Tree._from_valid(side_v, edges_v)
+
+
+def _reference_branches(t, x):
+    children = t.children_map()
+    top = {}
+    below = {}
+    for u in children[x]:
+        below[u] = set()
+        stack = [u]
+        while stack:
+            y = stack.pop()
+            top[y] = u
+            below[u].add(y)
+            stack.extend(children[y])
+    inner = {u: [] for u in children[x]}
+    for e in t.edges:
+        u = top.get(e[0])
+        if u is not None and top.get(e[1]) == u:
+            inner[u].append(e)
+    return [(u, below[u], tuple(inner[u])) for u in children[x]]
+
+
+def _reference_path_between(tree, a, b):
+    parent = {a: a}
+    stack = [a]
+    while b not in parent:
+        x = stack.pop()
+        for w in tree.adjacency[x]:
+            if w not in parent:
+                parent[w] = x
+                stack.append(w)
+    spine = [b]
+    while spine[-1] != a:
+        spine.append(parent[spine[-1]])
+    spine.reverse()
+    return _cube_order(tree, spine)
+
+
+def _fields(tree):
+    return tree.nodes, tree.edges, tree.root
+
+
+def _preorder_cases():
+    """(tree, nodes to ask about, edges to split, end pairs) on seeded random
+    trees and on 2*10^4-node paths, stars, caterpillars and brooms."""
+    rng = random.Random(41)
+    for _ in range(60):
+        tree = random_tree(rng.randint(1, 40), rng)
+        root = rng.choice([None, *tree.nodes])
+        tree = Tree._from_valid(tree.nodes, tree.edges, root)
+        nodes = sorted(tree.nodes)
+        pairs = [rng.sample(nodes, 2) for _ in range(4 if len(nodes) > 1 else 0)]
+        yield tree, nodes, list(tree.edges), pairs
+    for shape in ("recursive", "path", "star", "caterpillar", "broom"):
+        tree = _shaped_tree(shape, 2 * 10**4, rng)
+        hub = max(tree.nodes, key=lambda v: (len(tree.adjacency[v]), v))
+        nodes = [min(tree.nodes), hub, *rng.sample(sorted(tree.nodes), 4)]
+        edges = [*rng.sample(tree.edges, 4), (hub, tree.adjacency[hub][0])]
+        yield tree, nodes, edges, [(nodes[0], nodes[1]), (nodes[2], nodes[3])]
+
+
+def test_preorder_slices_match_the_walks_they_replaced():
+    for tree, nodes, edges, pairs in _preorder_cases():
+        if tree.root is None:
+            for call in (tree.subtree_sizes, lambda: tree.subtree_nodes(nodes[0])):
+                with pytest.raises(DomainError, match="requires a rooted tree"):
+                    call()
+            rooted = tree.rooted_at(nodes[-1])
+        else:
+            rooted = tree
+        sizes = rooted.subtree_sizes()
+        assert set(sizes) == tree.nodes
+        for v in nodes:
+            below = _reference_subtree_nodes(rooted, v)
+            assert rooted.subtree_nodes(v) == below
+            assert sizes[v] == len(below)
+            assert pbst._branches(rooted, v) == _reference_branches(rooted, v)
+        for t in (tree, rooted):
+            for e in edges:
+                got = split_tree_at_edge(t, e[::-1])
+                assert [_fields(s) for s in got] == [_fields(s) for s in _reference_split(t, e)]
+        for a, b in pairs:
+            want = _reference_path_between(tree, a, b)
+            assert cube_hamiltonian_path_between(tree, a, b) == want
 
 
 @given(random_trees, st.randoms(use_true_random=False), st.integers(0, 10**6))
