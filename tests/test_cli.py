@@ -99,6 +99,23 @@ def test_non_utf8_input_exits_two(tmp_path, capsys, command, flag):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv", [("dbst", "--exact", "--tours"), ("pbst", "--k", "2")], ids=["dbst", "pbst"]
+)
+def test_overflowing_distances_exit_two(tmp_path, capsys, argv):
+    # every coordinate is finite, but the distance from 1e308 to -1e308 is not
+    doc = tmp_path / "far.json"
+    doc.write_text(json.dumps({
+        "k": 2,
+        "points": {"coordinates": [[1e308], [-1e308], [0.0], [1.0], [2.0], [3.0]]},
+        "tuples": [[0, 2], [1, 3], [4, 5]],
+    }))
+    code, out, err = _run(capsys, *argv, "--input", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "overflow" in err
+
+
 @pytest.mark.parametrize("command, flag", [("dbst", "--input"), ("batch", "--config")])
 def test_deeply_nested_json_exits_two(tmp_path, capsys, command, flag):
     bad = tmp_path / "deep.json"

@@ -108,11 +108,23 @@ def test_opposite_infinities_rejected():
 
 
 def test_huge_finite_rows_accepted():
-    # the row sums overflow to inf, but every entry is finite
+    # the row sums overflow to inf, but every entry and distance is finite
     big = 1e308
-    inst = MetricInstance.from_coordinates([(big, big), (-big, big)])
-    assert inst.coordinates == ((big, big), (-big, big))
+    inst = MetricInstance.from_coordinates([(big, big), (big / 2, big)])
+    assert inst.coordinates == ((big, big), (big / 2, big))
     MetricInstance.from_matrix([[0.0, big, big], [big, 0.0, big], [big, big, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [(1e308, 1e308), (-1e308, 1e308)],  # the x difference overflows
+        [(1.5e308, 0.0), (0.0, 1.5e308)],  # each difference is finite, the norm is not
+    ],
+)
+def test_finite_coordinates_with_overflowing_distances_rejected(coords):
+    with pytest.raises(DomainError, match="overflow"):
+        MetricInstance.from_coordinates(coords)
 
 
 def test_rows_are_float_tuples():
