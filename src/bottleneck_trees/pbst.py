@@ -3,26 +3,28 @@
 The partitioning routines at the heart of this module carve a given tree
 into k disjoint trees of exactly n nodes whose edges span at most 2 hops in
 the source tree for k in {2, 3} and at most 3 hops for k >= 4 (both bounds
-are tight).  The metric solver runs them on the one minimum spanning tree it
-builds per solve, first recursing into longest-edge splits whose sides happen
-to be multiples of n; each side of such a split is the MST of its own points.
+are tight).  The metric solver builds one minimum spanning tree per solve and
+first cuts it at longest edges whose sides both hold multiples of n points;
+each side of such a cut is the MST of its own points.  One union-find sweep
+over the MST's edges decides every cut, and the partitions then run on the
+components left whole.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import AlgorithmInvariantError, DomainError, PartitionError
 from .metric import MetricInstance, _is_int
 from .trees import (
     Forest,
     Tree,
+    UnionFind,
     cube_hamiltonian_path_between,
     forest_bottleneck,
-    longest_edge,
     minimum_spanning_tree,
-    split_tree_at_edge,
 )
 
 
@@ -298,29 +300,57 @@ class PbstResult:
     mst_bottleneck: float
 
 
-def _solve_subset(instance: MetricInstance, mst: Tree, k: int, n: int) -> list[Tree]:
-    """k trees of n points each from `mst`, the MST of its own nodes.
+def _solve_subset(mst: Tree, lengths: list[float], k: int, n: int) -> list[Tree]:
+    """k trees of n points each from `mst`, whose edges have `lengths`.
 
-    Removing an MST edge leaves two trees that are each the MST of their own
-    points (with edges still in (distance, u, v) order), so each split cuts
-    the tree it was given instead of spanning the sides again.  The splits
-    run off an explicit stack, u-side first, so long chains of peeled groups
-    cannot exhaust Python's recursion limit.
+    One union-find sweep over the MST's edges in (length, -index) order
+    builds its single-linkage merge tree: each edge merges the last merges
+    of its u- and v-side components, so a component's last merge is its
+    longest edge, the earliest among ties.  A merge is clean when both
+    sides hold multiples of n points.  Walking down from the last merge on
+    an explicit stack, u-side first, splits every clean merge; any other
+    merge keeps its component whole, which is the MST of its own points
+    (edges in MST order).  A kept component of n points is a group as it
+    is; a larger one goes to the balanced partition.
     """
+    edges = mst.edges
+    uf = UnionFind(mst.nodes)
+    last: dict[int, int] = {}  # component root -> index of its last merge
+    size = dict.fromkeys(mst.nodes, 1)  # component root -> points
+    merges: dict[int, tuple[int | None, int | None, bool]] = {}
+    order = sorted(range(len(edges)), key=lambda i: (lengths[i], -i))
+    for i in order:
+        ru, rv = uf.find(edges[i][0]), uf.find(edges[i][1])
+        clean = size[ru] % n == 0 and size[rv] % n == 0
+        merges[i] = (last.get(ru), last.get(rv), clean)
+        uf.union(ru, rv)  # ru stays the root
+        size[ru] += size[rv]
+        last[ru] = i
+    top = order[-1]  # the last merge spans every point
+    if not merges[top][2]:
+        return list(balanced_partition(_leaf_rooted(mst), k).trees)
     trees: list[Tree] = []
-    stack = [(mst, k)]
+    stack = [top]
     while stack:
-        tree, count = stack.pop()
-        if count == 1:
-            trees.append(tree)
+        m = stack.pop()
+        side_u, side_v, clean = merges[m]
+        if clean:
+            stack += (side_v, side_u)
             continue
-        e, _ = longest_edge(tree, instance)
-        side_u, side_v = split_tree_at_edge(tree, e)
-        cu, cv = len(side_u.nodes), len(side_v.nodes)
-        if cu % n == 0 and cv % n == 0:
-            stack += ((side_v, cv // n), (side_u, cu // n))
+        inside, todo = [], [m]
+        while todo:
+            j = todo.pop()
+            inside.append(j)
+            todo += (c for c in merges[j][:2] if c is not None)
+        inside.sort()
+        tree = Tree._from_valid(
+            frozenset(chain.from_iterable(edges[j] for j in inside)),
+            tuple(edges[j] for j in inside),
+        )
+        if len(tree.nodes) == n:
+            trees.append(tree)
         else:
-            trees += balanced_partition(_leaf_rooted(tree), count).trees
+            trees += balanced_partition(_leaf_rooted(tree), len(tree.nodes) // n).trees
     return trees
 
 
@@ -343,11 +373,10 @@ def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
             "problem and n=1 is trivial; use a matching solver instead"
         )
     mst = minimum_spanning_tree(instance, instance.points())
-    _, mst_bot = longest_edge(mst, instance)
-    trees = _solve_subset(instance, mst, k, n)
-    forest = Forest(tuple(trees))
+    lengths = instance._lengths(mst.edges)
+    forest = Forest(tuple(_solve_subset(mst, lengths, k, n)))
     return PbstResult(
         forest=forest,
         bottleneck=forest_bottleneck(forest, instance),
-        mst_bottleneck=mst_bot,
+        mst_bottleneck=max(lengths),
     )

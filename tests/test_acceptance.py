@@ -6,10 +6,11 @@ per criterion.  All randomness is seeded; reruns are byte-identical.
 
 import functools
 import random
-from itertools import product
+from itertools import combinations, product
 
 from bottleneck_trees import (
     Labeling,
+    MetricInstance,
     Tree,
     bottleneck,
     bucketize,
@@ -240,6 +241,61 @@ def test_criterion_6_pbst_ratio():
     result = solve_pbst(inst, 4)
     _, optimal = exact_pbst(inst, 4)
     assert _bounded(result.bottleneck, 3, optimal)
+
+
+def _pbst_instance(kind, k, n, rng):
+    """A euclidean, random-metric or loose 1-D clustered instance of k*n points.
+
+    The clustered points sit within 2 of k centres spread over [0, 10k], so
+    many longest-edge splits are clean.
+    """
+    if kind != "clusters":
+        return _instance(kind, k * n, rng)
+    centres = [rng.uniform(0, 10 * k) for _ in range(k)]
+    coords = [(c + rng.uniform(0, 2),) for c in centres for _ in range(n)]
+    rng.shuffle(coords)
+    return MetricInstance.from_coordinates(coords)
+
+
+PBST_KINDS = ("euclidean", "random-metric", "clusters")
+
+
+@criterion(10, "k-PBST achieved/optimal <= 2 for k=3 and <= 3 for k=4")
+def test_criterion_10_pbst_ratio_beyond_two():
+    for k, n, factor in ((3, 3, 2), (3, 4, 2), (4, 3, 3)):
+        for seed in range(150):
+            rng = random.Random(100_000 + 1000 * (10 * k + n) + seed)
+            inst = _pbst_instance(PBST_KINDS[seed % 3], k, n, rng)
+            result = solve_pbst(inst, k)
+            _, optimal = exact_pbst(inst, k)
+            assert _bounded(result.bottleneck, factor, optimal), (k, n, seed)
+
+
+def _exact_two_tours_value(inst):
+    """The best max over two optimal tours, over every split into equal halves."""
+    points = list(inst.points())
+    half = len(points) // 2
+    best = None
+    for rest in combinations(points[1:], half - 1):
+        first = (points[0], *rest)
+        second = [p for p in points if p not in first]
+        value = max(exact_bottleneck_tour(inst, g)[1] for g in (first, second))
+        if best is None or value < best:
+            best = value
+    return best
+
+
+@criterion(11, "2-PBST tours within 3*alpha = 6x of the best two optimal tours")
+def test_criterion_11_pbst_tours():
+    for seed in range(200):
+        rng = random.Random(110_000 + seed)
+        n = rng.choice([3, 4])
+        inst = _pbst_instance(PBST_KINDS[seed % 3], 2, n, rng)
+        result = solve_pbst(inst, 2)
+        lifted = lift_to_tours(result.forest, inst)
+        for tree, tour in zip(result.forest.trees, lifted.tour_set.tours):
+            assert sorted(tour) == sorted(tree.nodes)
+        assert _bounded(lifted.bottleneck, 6, _exact_two_tours_value(inst)), seed
 
 
 def _exact_disjoint_tours_value(inst, tuples):

@@ -281,6 +281,27 @@ def test_solve_peels_hundreds_of_groups_without_recursing():
     assert result.bottleneck == 0.25
 
 
+def test_solve_reads_each_mst_edge_once_across_a_thousand_splits(monkeypatch):
+    # All 999 nested splits come from one sweep over the MST's edges; a
+    # solver that re-reads the remaining tree's lengths for every split
+    # reads about 1.5 million pairs here.
+    inst = _clustered_line(1000)
+    reads = []
+    lengths = MetricInstance._lengths
+
+    def counted(self, pairs):
+        pairs = list(pairs)
+        reads.append(len(pairs))
+        return lengths(self, pairs)
+
+    monkeypatch.setattr(MetricInstance, "_lengths", counted)
+    result = solve_pbst(inst, 1000)
+    assert [sorted(t.nodes) for t in result.forest.trees] == [
+        [3 * c, 3 * c + 1, 3 * c + 2] for c in range(1000)
+    ]
+    assert sum(reads) <= 3 * inst.point_count
+
+
 def _recursive_solve(instance, mst, k, n):
     """The solver's split rule, written as the plain recursion."""
     if k == 1:
