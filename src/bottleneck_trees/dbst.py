@@ -20,6 +20,7 @@ from .metric import MetricInstance, TuplePartition, _is_int
 from .trees import (
     Forest,
     Tree,
+    _leaf_rooted,
     _normalize_edge,
     forest_bottleneck,
     longest_edge,
@@ -220,7 +221,8 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
     mst = minimum_spanning_tree(instance, instance.points())
     _, mst_bot = longest_edge(mst, instance)
 
-    rooted = mst.rooted_at(min(mst.leaves()))
+    rooted = _leaf_rooted(mst)
+    forest = bp = None
     if k == 2:
         # A side with one point of every pair holds half the points.  Only
         # the edge above a half-size subtree cuts off such a side, and a tree
@@ -231,27 +233,16 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
             side_u, side_v = split_tree_at_edge(rooted, cut[0])
             if all(len(side_u.nodes & set(t)) == 1 for t in tuples.tuples):
                 forest = Forest((side_u, side_v))
-                labels = tuple(
-                    0 if p in side_u.nodes else 1 for p in instance.points()
-                )
-                return DbstResult(
-                    forest=forest,
-                    bottleneck=forest_bottleneck(forest, instance),
-                    mst=mst,
-                    mst_bottleneck=mst_bot,
-                    labels=labels,
-                    shortcut=True,
-                    buckets=None,
-                )
-
-    forest, bp, lab = forest_from_tree(rooted, tuples)
-    labels = tuple(lab.labels[p] for p in instance.points())
+                labels = tuple(0 if p in side_u.nodes else 1 for p in instance.points())
+    if forest is None:
+        forest, bp, lab = forest_from_tree(rooted, tuples)
+        labels = tuple(lab.labels[p] for p in instance.points())
     return DbstResult(
         forest=forest,
         bottleneck=forest_bottleneck(forest, instance),
         mst=mst,
         mst_bottleneck=mst_bot,
         labels=labels,
-        shortcut=False,
+        shortcut=bp is None,
         buckets=bp,
     )

@@ -112,13 +112,8 @@ def star_instance(leaves: int) -> MetricInstance:
     """Star with the given leaf count: center at 0, unit spokes, leaves at 2."""
     if leaves < 1:
         raise DomainError("a star needs at least one leaf")
-    n = leaves + 1
-    d = [[2.0] * n for _ in range(n)]
-    for i in range(n):
-        d[i][i] = 0.0
-        if i > 0:
-            d[0][i] = d[i][0] = 1.0
-    return MetricInstance.from_matrix(tuple(tuple(row) for row in d))
+    spokes = tuple((0, i) for i in range(1, leaves + 1))
+    return path_metric(Tree(frozenset(range(leaves + 1)), spokes))
 
 
 def spider_tree(k: int) -> Tree:

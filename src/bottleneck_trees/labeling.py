@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AlgorithmInvariantError, PartitionError
-from .metric import _disjoint_union, _id_groups
+from .errors import AlgorithmInvariantError, DomainError, PartitionError
+from .metric import _disjoint_union, _id_groups, _is_int
 
 _INF = float("inf")
 
@@ -148,6 +148,8 @@ def konig_labeling(a_groups, b_groups, k: int) -> Labeling:
     singletons take the final label.
     """
     a, b, size = _validate_double_partition(a_groups, b_groups)
+    if not _is_int(k):
+        raise DomainError(f"konig_labeling needs an integer k, got {k!r}")
     if size != k:
         raise PartitionError(f"groups have size {size}, expected k={k}")
     labels: dict[int, int] = {}

@@ -12,6 +12,7 @@ order, so every algorithm in this package is deterministic for a fixed input.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 from itertools import chain
 
@@ -25,16 +26,20 @@ _NUMBER = {int, float}
 def _finite_rows(rows, what: str) -> tuple[tuple[float, ...], ...]:
     """Rows as float tuples; a non-number, NaN or infinity is a DomainError.
 
-    Numbers are ints and floats (and their subclasses), never bools or
-    numeric strings.  Each row's entry types are read in one C-level pass,
-    so all-float rows are kept as they are and only other rows are checked
-    entry by entry and converted.  A row is checked for finiteness through
-    its sum, and entry by entry only when the sum is not finite, so huge
-    but finite rows whose sum overflows still pass.
+    So is a mapping row, which would yield its keys, or a set row, which
+    has no order.  Numbers are ints and floats (and their subclasses), never
+    bools or numeric strings.  Each row's entry types are read in one C-level
+    pass, so all-float rows are kept as they are and only other rows are
+    checked entry by entry and converted.  A row is checked for finiteness
+    through its sum, and entry by entry only when the sum is not finite, so
+    huge but finite rows whose sum overflows still pass.
     """
     out = []
     try:
-        for row in map(tuple, rows):
+        for row in rows:
+            if isinstance(row, (Mapping, Set)):
+                raise DomainError(f"{what} rows must be sequences, got a {type(row).__name__}")
+            row = tuple(row)
             types = list(map(type, row))
             if types.count(float) != len(types):
                 if not set(types) <= _NUMBER:

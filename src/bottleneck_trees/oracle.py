@@ -14,7 +14,7 @@ distances, and `exact_bottleneck_tour` scores each candidate tour with
 from __future__ import annotations
 
 from itertools import permutations, product
-from math import comb
+from math import factorial
 
 from .errors import DomainError, OracleSizeError, PartitionError
 from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
@@ -88,17 +88,6 @@ def exact_gbst(
     return minimum_spanning_tree(instance, best_choice), best_value
 
 
-def _partition_cost_cap(total: int, k: int, n: int) -> int:
-    count = 1
-    remaining = total
-    for _ in range(k):
-        count *= comb(remaining, n)
-        remaining -= n
-    for i in range(2, k + 1):
-        count //= i
-    return count
-
-
 def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
     """Optimal k equal trees via a threshold search over pairwise distances.
 
@@ -114,15 +103,11 @@ def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
     if total % k != 0:
         raise PartitionError(f"{total} points cannot split into k={k} equal groups")
     n = total // k
-    if total > 24 or _partition_cost_cap(total, k, n) > 10**7:
+    if total > 24 or factorial(total) // (factorial(n) ** k * factorial(k)) > 10**7:
         raise OracleSizeError(
             f"exact_pbst is capped near 10^7 unordered partitions "
             f"(kn={total}, k={k} is too large)"
         )
-    if n == 1:
-        forest = Forest(tuple(Tree(frozenset({p}), ()) for p in instance.points()))
-        return forest, 0.0
-
     points = instance.points()
     table = [instance._lengths([(u, v) for v in points]) for u in points]
     candidates = sorted({0.0} | {d for u in points for d in table[u][u + 1 :]})

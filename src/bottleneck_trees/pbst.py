@@ -22,17 +22,11 @@ from .trees import (
     Forest,
     Tree,
     UnionFind,
+    _leaf_rooted,
     cube_hamiltonian_path_between,
     forest_bottleneck,
     minimum_spanning_tree,
 )
-
-
-def _leaf_rooted(tree: Tree) -> Tree:
-    """The tree rooted at a leaf: keep a leaf root, else take the lowest one."""
-    if tree.root is not None and len(tree.adjacency[tree.root]) <= 1:
-        return tree
-    return tree.rooted_at(min(tree.leaves()))
 
 
 def _edges_within(edges, nodes) -> tuple[tuple[int, int], ...]:

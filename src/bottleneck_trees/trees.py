@@ -251,6 +251,13 @@ class Tree:
         return set(self._below(v))
 
 
+def _leaf_rooted(tree: Tree) -> Tree:
+    """The tree rooted at a leaf: keep a leaf root, else take the lowest leaf."""
+    if tree.root is not None and len(tree.adjacency[tree.root]) <= 1:
+        return tree
+    return tree.rooted_at(min(tree.leaves()))
+
+
 @dataclass(frozen=True)
 class Forest:
     """A list of node-disjoint trees."""
@@ -262,6 +269,8 @@ class Forest:
         object.__setattr__(self, "trees", trees)
         seen: set[int] = set()
         for t in trees:
+            if not isinstance(t, Tree):
+                raise DomainError(f"forest members must be trees, got {t!r}")
             if seen & t.nodes:
                 raise DomainError("forest trees must have pairwise disjoint node sets")
             seen |= t.nodes

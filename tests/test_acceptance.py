@@ -9,6 +9,7 @@ import random
 from itertools import combinations, product
 
 from bottleneck_trees import (
+    Forest,
     Labeling,
     MetricInstance,
     Tree,
@@ -296,6 +297,22 @@ def test_criterion_11_pbst_tours():
         for tree, tour in zip(result.forest.trees, lifted.tour_set.tours):
             assert sorted(tour) == sorted(tree.nodes)
         assert _bounded(lifted.bottleneck, 6, _exact_two_tours_value(inst)), seed
+
+
+@criterion(12, "2-GBST tours within 3*3 = 9x of the best tour over every representative choice")
+def test_criterion_12_gbst_tours():
+    for seed in range(400):
+        rng = random.Random(120_000 + seed)
+        n = rng.randint(6, 12)
+        inst = _instance("euclidean" if seed % 2 else "random-metric", n, rng)
+        clusters = random_clusters(n, rng)
+        result = solve_2gbst(inst, clusters)
+        lifted = lift_to_tours(Forest((result.tree,)), inst)
+        assert sorted(lifted.tour_set.tours[0]) == sorted(result.tree.nodes)
+        optimal = min(
+            exact_bottleneck_tour(inst, choice)[1] for choice in product(*clusters.clusters)
+        )
+        assert _bounded(lifted.bottleneck, 9, optimal), seed
 
 
 def _exact_disjoint_tours_value(inst, tuples):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from bottleneck_trees import DomainError, exact_pbst, validate_metric
+from bottleneck_trees import DomainError, MetricInstance, exact_pbst, validate_metric
 from bottleneck_trees.generators import (
     euclidean_instance,
     generate,
@@ -23,6 +23,26 @@ def test_star_three_leaves_distances():
         assert inst.distance(0, leaf) == 1.0
     assert inst.distance(1, 2) == inst.distance(2, 3) == 2.0
     assert validate_metric(inst).ok
+
+
+def _hand_built_star(leaves):
+    """The matrix star_instance used to fill in by hand, copied verbatim."""
+    n = leaves + 1
+    d = [[2.0] * n for _ in range(n)]
+    for i in range(n):
+        d[i][i] = 0.0
+        if i > 0:
+            d[0][i] = d[i][0] = 1.0
+    return MetricInstance.from_matrix(tuple(tuple(row) for row in d))
+
+
+def test_star_instance_is_the_hand_built_matrix():
+    for leaves in range(1, 51):
+        got, want = star_instance(leaves).matrix, _hand_built_star(leaves).matrix
+        assert got == want and repr(got) == repr(want)
+    for leaves in (0, -1):
+        with pytest.raises(DomainError, match="a star needs at least one leaf"):
+            star_instance(leaves)
 
 
 def test_spider_structure():

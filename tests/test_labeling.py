@@ -86,6 +86,9 @@ def test_invalid_double_partitions():
         representatives([(0, 0)], [(0, 0)])  # repeat inside a group
     with pytest.raises(PartitionError, match="point 1"):
         konig_labeling([(0, 1), (2, 3)], [(0, 1), (1, 3)], 2)  # repeat across groups
+    for bad_k in (True, 1.0, "1"):  # groups of one point, so only k's type is wrong
+        with pytest.raises(DomainError, match="integer k"):
+            konig_labeling([[0]], [[0]], bad_k)
 
 
 @given(

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,21 @@ def test_strings_and_bools_are_not_numbers(points):
         parse_instance_document({"points": points})
     with pytest.raises(DomainError):
         parse_instance_document(json.loads(json.dumps({"points": points})))
+
+
+@pytest.mark.parametrize(
+    "kind, rows",
+    [
+        ("matrix", [{0.0: 1}]),
+        ("matrix", [MappingProxyType({0: 0.0})]),
+        ("coordinates", [{1.0, 2.0}]),
+        ("coordinates", [frozenset({1.0}), frozenset({2.0})]),
+    ],
+)
+def test_mapping_and_set_rows_rejected(kind, rows):
+    # A mapping row would contribute its keys; a set row has no order.
+    with pytest.raises(DomainError, match="must be sequences"):
+        MetricInstance(**{kind: rows})
 
 
 def test_number_subclasses_other_than_bool_pass():

@@ -2,17 +2,21 @@ import hashlib
 import random
 import sys
 from itertools import combinations
+from math import comb
 
 import pytest
 
 from bottleneck_trees import (
     DomainError,
+    Forest,
     MetricInstance,
+    OracleSizeError,
     PartitionError,
     Tree,
     balanced_partition,
     bottleneck,
     bucketize,
+    cube_hamiltonian_cycle,
     exact_pbst,
     hop_distance,
     longest_edge,
@@ -200,6 +204,57 @@ def test_exact_pbst_spider_optimum_is_three():
     inst = spider_instance(4)
     _, optimal = exact_pbst(inst, 4)
     assert optimal == 3.0
+
+
+def _singleton_pbst(instance):
+    """The n == 1 shortcut exact_pbst used to take, copied verbatim."""
+    forest = Forest(tuple(Tree(frozenset({p}), ()) for p in instance.points()))
+    return forest, 0.0
+
+
+def test_exact_pbst_singletons_match_the_removed_shortcut():
+    # The bisection finds the singleton groups at candidate 0.0 by itself.
+    rng = random.Random(41)
+    for total in range(3, 25):
+        for kind in ("euclidean", "random-metric", "grid"):
+            if kind == "euclidean":
+                inst = euclidean_instance(2, total, rng)
+            elif kind == "random-metric":
+                inst = random_metric_instance(total, rng)
+            else:  # integer grid points, duplicates included
+                inst = MetricInstance.from_coordinates(
+                    [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(total)]
+                )
+            got = exact_pbst(inst, total)
+            want = _singleton_pbst(inst)
+            assert got == want and repr(got[1]) == repr(want[1])
+            assert [t.root for t in got[0].trees] == [None] * total
+
+
+def _partition_count_loop(total, k, n):
+    """The unordered partition count exact_pbst used to cap, copied verbatim."""
+    count = 1
+    remaining = total
+    for _ in range(k):
+        count *= comb(remaining, n)
+        remaining -= n
+    for i in range(2, k + 1):
+        count //= i
+    return count
+
+
+def test_exact_pbst_caps_the_same_sizes_as_the_partition_count_loop():
+    # Coincident points make every feasibility search one greedy pass.
+    for total in range(2, 40):
+        inst = MetricInstance.from_coordinates([(0.0,)] * total)
+        for k in range(2, total + 1):
+            if total % k:
+                continue
+            if total > 24 or _partition_count_loop(total, k, total // k) > 10**7:
+                with pytest.raises(OracleSizeError):
+                    exact_pbst(inst, k)
+            else:
+                assert exact_pbst(inst, k)[1] == 0.0
 
 
 def test_solve_far_groups_recurses():
@@ -460,3 +515,24 @@ def test_partition_three_on_a_wide_star():
     assert frozenset().union(*(p.nodes for p in pieces)) == star.nodes
     for p in pieces:
         assert all(hop_distance(star, u, v) <= 2 for u, v in p.edges)
+
+
+@pytest.mark.parametrize("shape", ["path", "star", "caterpillar", "broom"])
+def test_partitions_and_cube_cycle_on_large_shaped_trees(shape):
+    # At about 2·10^4 nodes every partition, the bucketing and the
+    # cube cycle keep their sizes and hop bounds on each extreme shape.
+    total = 19_980  # divisible by 2, 3, 4 and 5
+    tree = _shaped_tree(shape, total, random.Random(shape))
+    _check_split(tree, partition_two(tree, total // 3), [total // 3, total - total // 3], 2)
+    _check_split(tree, partition_three(tree), [total // 3] * 3, 2)
+    _check_split(tree, partition_many(tree, 4).trees, [total // 4] * 4, 3)
+    rooted = tree.rooted_at(min(tree.leaves()))
+    for k in (2, 5):
+        buckets = bucketize(rooted, k).buckets
+        assert sorted(p for b in buckets for p in b) == sorted(tree.nodes)
+        for bucket in buckets:
+            assert len(bucket) == k
+            assert all(hop_distance(rooted, a, b) <= 2 * k - 2 for a, b in combinations(bucket, 2))
+    cycle = cube_hamiltonian_cycle(tree)
+    assert sorted(cycle) == sorted(tree.nodes)
+    assert all(hop_distance(tree, a, b) <= 3 for a, b in zip(cycle, cycle[1:] + cycle[:1]))

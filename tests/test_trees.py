@@ -563,6 +563,20 @@ def test_metric_path_bound(tree, rnd, seed):
     assert inst.distance(u, v) <= hop_distance(mst, u, v) * lam + 1e-9
 
 
+@pytest.mark.parametrize(
+    "trees",
+    [
+        [1],
+        (Tree(frozenset({0}), ()), None),
+        (Tree(frozenset({0, 1}), ((0, 1),)), Tree(frozenset({1}), ())),
+    ],
+    ids=["int", "none", "overlap"],
+)
+def test_forest_rejects_non_trees_and_overlaps(trees):
+    with pytest.raises(DomainError):
+        Forest(trees)
+
+
 def test_tree_serialization_roundtrip():
     t = Tree(frozenset({0, 1, 2}), ((0, 1), (1, 2)), root=0)
     assert tree_from_dict(tree_to_dict(t)) == t
