@@ -23,7 +23,6 @@ from .trees import (
     _leaf_rooted,
     _normalize_edge,
     forest_bottleneck,
-    longest_edge,
     minimum_spanning_tree,
     split_tree_at_edge,
 )
@@ -72,10 +71,7 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
 
     parent = tree.parent_map
     depth = tree.depth_map
-    kids: dict[int, set[int]] = {v: set() for v in parent}
-    for v, p in parent.items():
-        if p is not None:
-            kids[p].add(v)
+    kids = {v: set(c) for v, c in tree.children_map().items()}
     # size is read only while a node has k or more nodes.  It is exact for
     # candidates; above a node of k or more it may still count the buckets
     # banked in owed[] below, until that node falls under k.
@@ -219,7 +215,7 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
             f"{tuples.point_count}"
         )
     mst = minimum_spanning_tree(instance, instance.points())
-    _, mst_bot = longest_edge(mst, instance)
+    mst_bot = max(instance._lengths(mst.edges))
 
     rooted = _leaf_rooted(mst)
     forest = bp = None

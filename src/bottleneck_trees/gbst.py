@@ -168,34 +168,23 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
     for a in selected:
         if a == t1.root:
             continue
-        a1 = parent[a]
-        assert a1 is not None
-        if status[a1] == SELECTED:
-            edges.append((a, a1))
-            continue
-        a2 = parent[a1]
-        if a2 is None:
-            raise AlgorithmInvariantError(f"burned node {a1} is the root")
-        if status[a2] == SELECTED:
-            edges.append((a, a2))
-            continue
-        a3 = parent[a2]
-        if a3 is None:
-            raise AlgorithmInvariantError(f"burned node {a2} is the root")
-        if status[a3] == SELECTED:
-            edges.append((a, a3))
-            continue
-        chosen_child = next_visited.get(a2)
-        if (
-            chosen_child is not None
-            and status.get(chosen_child) == SELECTED
-            and parent[chosen_child] == a2
-        ):
+        climb = [a]  # a, then the burned ancestors passed so far
+        while len(climb) < 4:
+            up = parent[climb[-1]]
+            if up is None:
+                raise AlgorithmInvariantError(f"burned node {climb[-1]} is the root")
+            if status[up] == SELECTED:
+                edges.append((a, up))
+                break
+            climb.append(up)
+        else:
+            grand = climb[2]
+            chosen_child = next_visited.get(grand)
+            if status.get(chosen_child) != SELECTED or parent[chosen_child] != grand:
+                raise AlgorithmInvariantError(
+                    f"no selected node within 3 hops above {a}; the selection walk is broken"
+                )
             edges.append((a, chosen_child))
-            continue
-        raise AlgorithmInvariantError(
-            f"no selected node within 3 hops above {a}; the selection walk is broken"
-        )
     return Tree._wired(selected, edges, t1.root, t1)
 
 

@@ -158,10 +158,6 @@ class Tree:
             adj[v].append(u)
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
-    @cached_property
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(self.edges)
-
     def leaves(self) -> list[int]:
         """Nodes of degree at most one, ascending (a lone node counts)."""
         return sorted(v for v, nbrs in self.adjacency.items() if len(nbrs) <= 1)
@@ -229,15 +225,9 @@ class Tree:
         return self._rooting[1]
 
     def children_map(self) -> dict[int, list[int]]:
-        """Children per node (ascending), for the current root."""
+        """Children per node for the current root: its sorted neighbors but its parent."""
         parent = self.parent_map
-        kids: dict[int, list[int]] = {v: [] for v in self.nodes}
-        for v, p in parent.items():
-            if p is not None:
-                kids[p].append(v)
-        for lst in kids.values():
-            lst.sort()
-        return kids
+        return {v: [w for w in nbrs if w != parent[v]] for v, nbrs in self.adjacency.items()}
 
     def subtree_sizes(self) -> dict[int, int]:
         """Number of nodes in the subtree rooted at each node, root included."""
@@ -461,11 +451,10 @@ def hop_distance(tree: Tree, u: int, v: int) -> int:
 
 def split_tree_at_edge(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree]:
     """Remove one edge and return the two components (u-side, v-side)."""
-    e = _normalize_edge(*edge)
-    if e not in tree.edge_set:
+    u, v = e = _normalize_edge(*edge)
+    if v not in tree.adjacency.get(u, ()):
         raise DomainError(f"({edge[0]}, {edge[1]}) is not an edge of the tree")
     _check_int_ids(e, "tree edge endpoint")
-    u, v = e
     below = frozenset(tree._below(v if tree._rooting[0][v] == u else u))
     rest = tree.nodes - below
     side_u, side_v = (rest, below) if v in below else (below, rest)
@@ -535,7 +524,7 @@ def cube_hamiltonian_path(tree: Tree, u: int, v: int) -> list[int]:
     (u, v) must be an edge of the tree.
     """
     tree._check_nodes(u, v)
-    if _normalize_edge(u, v) not in tree.edge_set:
+    if v not in tree.adjacency[u]:
         raise DomainError(f"({u}, {v}) is not an edge of the tree")
     return _cube_order(tree, [u, v])
 

@@ -547,6 +547,35 @@ def test_preorder_slices_match_the_walks_they_replaced():
             assert cube_hamiltonian_path_between(tree, a, b) == want
 
 
+def _reference_children_map(tree):
+    """Tree.children_map as it rebuilt and sorted the children, verbatim but for self."""
+    parent = tree.parent_map
+    kids: dict[int, list[int]] = {v: [] for v in tree.nodes}
+    for v, p in parent.items():
+        if p is not None:
+            kids[p].append(v)
+    for lst in kids.values():
+        lst.sort()
+    return kids
+
+
+def test_children_map_matches_the_rebuild_it_replaced():
+    # Children are the sorted adjacency minus the parent; keys keep their order.
+    rng = random.Random(19)
+    trees = [random_tree(rng.randint(1, 40), rng) for _ in range(100)]
+    for shape in ("recursive", "path", "star", "caterpillar", "broom"):
+        trees += [_shaped_tree(shape, rng.randint(1, 2000), rng) for _ in range(4)]
+    for tree in trees:
+        nodes = sorted(tree.nodes)
+        roots = {nodes[0], nodes[-1], *rng.sample(nodes, min(3, len(nodes)))}
+        if tree.root is not None:
+            roots.add(tree.root)
+        for root in sorted(roots):
+            rooted = tree.rooted_at(root)
+            want = _reference_children_map(rooted)
+            assert list(rooted.children_map().items()) == list(want.items())
+
+
 @given(random_trees, st.randoms(use_true_random=False), st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
 def test_metric_path_bound(tree, rnd, seed):
