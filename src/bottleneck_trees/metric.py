@@ -211,7 +211,10 @@ def _check_int_ids(ids, what: str) -> None:
 
 def _id_groups(groups, what: str) -> tuple[tuple[int, ...], ...]:
     """The groups as ascending tuples of int ids, checked in one pass."""
-    groups = list(map(tuple, groups))
+    try:
+        groups = list(map(tuple, groups))
+    except TypeError:
+        raise DomainError(f"{what}s must be sequences of point ids") from None
     _check_int_ids(list(chain.from_iterable(groups)), f"{what} point")
     return tuple(map(tuple, map(sorted, groups)))
 

@@ -105,8 +105,10 @@ class Tree:
     root: int | None = None
 
     def __post_init__(self) -> None:
-        ids = list(self.nodes)
-        edges = tuple(self.edges)
+        try:
+            ids, edges = list(self.nodes), tuple(self.edges)
+        except TypeError:
+            raise DomainError("tree nodes and edges must be sequences") from None
         _check_int_ids(ids, "tree node")
         if not all(isinstance(e, (tuple, list)) and len(e) == 2 for e in edges):
             raise DomainError("tree edges must be [u, v] pairs")
@@ -255,7 +257,10 @@ class Forest:
     trees: tuple[Tree, ...]
 
     def __post_init__(self) -> None:
-        trees = tuple(self.trees)
+        try:
+            trees = tuple(self.trees)
+        except TypeError:
+            raise DomainError("a forest's trees must be a sequence") from None
         object.__setattr__(self, "trees", trees)
         seen: set[int] = set()
         for t in trees:

@@ -223,6 +223,9 @@ def test_tuple_partition_validation():
     for bad in (True, False, "1", 1.0, None):
         with pytest.raises(DomainError):
             TuplePartition(k=2, tuples=((0, bad), (2, 3)))
+    for not_iterable in (5, [5]):
+        with pytest.raises(DomainError):
+            TuplePartition(k=2, tuples=not_iterable)
 
 
 def test_cluster_partition_validation():
@@ -238,6 +241,9 @@ def test_cluster_partition_validation():
     for bad in (True, False, "1", 1.0, None):
         with pytest.raises(DomainError):
             ClusterPartition(k=2, clusters=((0,), (bad,)))
+    for not_iterable in (5, [5]):
+        with pytest.raises(DomainError):
+            ClusterPartition(k=2, clusters=not_iterable)
 
 
 @pytest.mark.parametrize("bad", [True, "1", 1.0])

@@ -598,8 +598,9 @@ def test_metric_path_bound(tree, rnd, seed):
         [1],
         (Tree(frozenset({0}), ()), None),
         (Tree(frozenset({0, 1}), ((0, 1),)), Tree(frozenset({1}), ())),
+        5,
     ],
-    ids=["int", "none", "overlap"],
+    ids=["int", "none", "overlap", "not-iterable"],
 )
 def test_forest_rejects_non_trees_and_overlaps(trees):
     with pytest.raises(DomainError):
@@ -620,11 +621,13 @@ def test_tree_serialization_roundtrip():
         ({0, 1}, ((0, "1"),), None),
         ({0, 1}, ((0, 1),), True),
         ({0, 1}, ((0, 1),), 0.0),
+        (5, (), None),
+        ([0], 5, None),
     ],
 )
 def test_tree_rejects_non_integer_ids(nodes, edges, root):
     with pytest.raises(DomainError):
-        Tree(frozenset(nodes), edges, root=root)
+        Tree(nodes, edges, root=root)
 
 
 @pytest.mark.parametrize(
