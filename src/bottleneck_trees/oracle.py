@@ -13,13 +13,14 @@ distances, and `exact_bottleneck_tour` scores each candidate tour with
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from itertools import permutations, product
-from math import factorial
+from math import factorial, inf
 
 from .errors import DomainError, OracleSizeError, PartitionError
 from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
 from .tours import tour_bottleneck
-from .trees import Forest, Tree, _mst_triples, minimum_spanning_tree
+from .trees import Forest, Tree, UnionFind, _mst_triples, minimum_spanning_tree
 
 
 def _threshold(instance: MetricInstance, points: list[int]) -> float:
@@ -88,12 +89,41 @@ def exact_gbst(
     return minimum_spanning_tree(instance, best_choice), best_value
 
 
+def _multiple_bound(table: list[list[float]], n: int) -> float:
+    """Smallest d at which every component of the pairs within d holds a multiple of n.
+
+    A pair u, v is within d when min(table[u][v], table[v][u]) <= d.  Every
+    group of a partition feasible at d lies in one such component, so the
+    components are unions of groups: no d below this bound is feasible.
+    It is -inf when the single points already qualify (n = 1).
+    """
+    total = len(table)
+    uf = UnionFind(range(total))
+    size = [1] * total
+    uneven = total if n > 1 else 0  # components whose size is not a multiple of n
+    bound = -inf
+    pairs = sorted(
+        (min(table[u][v], table[v][u]), u, v) for u in range(total) for v in range(u + 1, total)
+    )
+    for d, u, v in pairs:
+        if not uneven:
+            break
+        ru, rv = uf.find(u), uf.find(v)
+        if uf.union(ru, rv):  # ru stays the root
+            uneven -= (size[ru] % n > 0) + (size[rv] % n > 0)
+            size[ru] += size[rv]
+            uneven += size[ru] % n > 0
+            bound = d
+    return bound
+
+
 def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
     """Optimal k equal trees via a threshold search over pairwise distances.
 
     A partition achieves bottleneck <= d iff each group is connected among
     edges of length <= d, which is monotone in d; the smallest feasible
-    candidate distance is found by bisection, with feasibility decided by a
+    candidate distance is found by bisection from `_multiple_bound`, below
+    which no candidate is feasible, with feasibility decided by a
     backtracking search that grows one connected group at a time (each group
     anchored at its smallest unassigned point, killing group symmetry).
     """
@@ -163,7 +193,7 @@ def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
             return groups
         return None
 
-    lo, hi = 0, len(candidates) - 1
+    lo, hi = bisect_left(candidates, _multiple_bound(table, n)), len(candidates) - 1
     best_groups = feasible(candidates[hi])
     if best_groups is None:
         raise DomainError("the complete metric graph must always be partitionable")

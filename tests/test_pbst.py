@@ -2,7 +2,7 @@ import hashlib
 import random
 import sys
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
 import pytest
 
@@ -28,6 +28,8 @@ from bottleneck_trees import (
     split_tree_at_edge,
 )
 import bottleneck_trees.pbst as pbst
+from bottleneck_trees.metric import _is_int
+from bottleneck_trees.oracle import _multiple_bound
 from bottleneck_trees.generators import (
     euclidean_instance,
     random_metric_instance,
@@ -255,6 +257,154 @@ def test_exact_pbst_caps_the_same_sizes_as_the_partition_count_loop():
                     exact_pbst(inst, k)
             else:
                 assert exact_pbst(inst, k)[1] == 0.0
+
+
+def _reference_exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
+    """exact_pbst before it bisected from `_multiple_bound`, verbatim but for its name.
+
+    Optimal k equal trees via a threshold search over pairwise distances.
+
+    A partition achieves bottleneck <= d iff each group is connected among
+    edges of length <= d, which is monotone in d; the smallest feasible
+    candidate distance is found by bisection, with feasibility decided by a
+    backtracking search that grows one connected group at a time (each group
+    anchored at its smallest unassigned point, killing group symmetry).
+    """
+    total = instance.point_count
+    if not _is_int(k) or k < 2:
+        raise DomainError(f"exact_pbst needs an integer k >= 2, got {k!r}")
+    if total % k != 0:
+        raise PartitionError(f"{total} points cannot split into k={k} equal groups")
+    n = total // k
+    if total > 24 or factorial(total) // (factorial(n) ** k * factorial(k)) > 10**7:
+        raise OracleSizeError(
+            f"exact_pbst is capped near 10^7 unordered partitions "
+            f"(kn={total}, k={k} is too large)"
+        )
+    points = instance.points()
+    table = [instance._lengths([(u, v) for v in points]) for u in points]
+    candidates = sorted({0.0} | {d for u in points for d in table[u][u + 1 :]})
+
+    def feasible(d: float) -> list[list[int]] | None:
+        adj = [[v for v in points if v != u and table[u][v] <= d] for u in points]
+        unassigned = set(points)
+        groups: list[list[int]] = []
+
+        def reachable_enough(group: list[int], banned: set[int]) -> bool:
+            seen = set(group)
+            stack = list(group)
+            found = len(group)
+            while stack and found < n:
+                x = stack.pop()
+                for y in adj[x]:
+                    if y in unassigned and y not in seen and y not in banned:
+                        seen.add(y)
+                        found += 1
+                        stack.append(y)
+            return found >= n
+
+        def grow(group: list[int], banned: set[int]) -> bool:
+            if len(group) == n:
+                for p in group:
+                    unassigned.discard(p)
+                groups.append(group)
+                if not unassigned or next_group():
+                    return True
+                groups.pop()
+                unassigned.update(group)
+                return False
+            if not reachable_enough(group, banned):
+                return False
+            candidates_here = sorted(
+                y
+                for x in group
+                for y in adj[x]
+                if y in unassigned and y not in banned and y not in group
+            )
+            if not candidates_here:
+                return False
+            pick = candidates_here[0]
+            if grow(group + [pick], banned):
+                return True
+            return grow(group, banned | {pick})
+
+        def next_group() -> bool:
+            leader = min(unassigned)
+            return grow([leader], set())
+
+        if next_group():
+            return groups
+        return None
+
+    lo, hi = 0, len(candidates) - 1
+    best_groups = feasible(candidates[hi])
+    if best_groups is None:
+        raise DomainError("the complete metric graph must always be partitionable")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        attempt = feasible(candidates[mid])
+        if attempt is not None:
+            best_groups = attempt
+            hi = mid
+        else:
+            lo = mid + 1
+    forest = Forest(
+        tuple(minimum_spanning_tree(instance, g) for g in best_groups)
+    )
+    return forest, candidates[hi]
+
+
+def _oracle_cases():
+    """Seeded (instance, k) pairs: Euclidean, random-metric, tie-heavy 3x3
+    integer grids with duplicates, loose 1-D clusters, asymmetric integer
+    matrices, and singleton groups over matrices with negative entries."""
+    rng = random.Random(19)
+    sizes = [(4, 2), (6, 2), (6, 3), (8, 2), (8, 4), (9, 3), (10, 2), (12, 3), (12, 4)]
+    sizes += [(14, 2), (15, 3)]
+    kinds = ("euclidean", "metric", "grid", "clusters", "asymmetric", "negative")
+    for i in range(330):  # every size with every kind, five times
+        total, k = sizes[i % len(sizes)]
+        kind = kinds[i // len(sizes) % len(kinds)]
+        if kind == "euclidean":
+            inst = euclidean_instance(2, total, rng)
+        elif kind == "metric":
+            inst = random_metric_instance(total, rng)
+        elif kind == "grid":
+            inst = MetricInstance.from_coordinates(
+                [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(total)]
+            )
+        elif kind == "clusters":
+            inst = MetricInstance.from_coordinates(
+                [(10.0 * rng.randrange(k) + rng.random(),) for _ in range(total)]
+            )
+        else:
+            low = -3 if kind == "negative" else 0
+            inst = MetricInstance.from_matrix(
+                [[rng.randint(low, 5) for _ in range(total)] for _ in range(total)]
+            )
+            if kind == "negative":
+                k = total
+        yield inst, k
+
+
+def test_exact_pbst_bisects_from_a_bound_that_keeps_its_answers():
+    cases = list(_oracle_cases())
+    assert len(cases) >= 300
+    for inst, k in cases:
+        forest, value = exact_pbst(inst, k)
+        want_forest, want_value = _reference_exact_pbst(inst, k)
+        assert [(t.nodes, t.edges, t.root) for t in forest.trees] == [
+            (t.nodes, t.edges, t.root) for t in want_forest.trees
+        ]
+        assert repr(value) == repr(want_value)
+        points = inst.points()
+        table = [inst._lengths([(u, v) for v in points]) for u in points]
+        assert _multiple_bound(table, inst.point_count // k) <= value
+
+
+def test_exact_pbst_singletons_over_negative_entries_take_the_smallest():
+    inst = MetricInstance.from_matrix([[0, -2, 1], [-2, 0, -1], [1, -1, 0]])
+    assert exact_pbst(inst, 3)[1] == -2.0
 
 
 def test_solve_far_groups_recurses():
