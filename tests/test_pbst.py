@@ -402,11 +402,6 @@ def test_exact_pbst_bisects_from_a_bound_that_keeps_its_answers():
         assert _multiple_bound(table, inst.point_count // k) <= value
 
 
-def test_exact_pbst_singletons_over_negative_entries_take_the_smallest():
-    inst = MetricInstance.from_matrix([[0, -2, 1], [-2, 0, -1], [1, -1, 0]])
-    assert exact_pbst(inst, 3)[1] == -2.0
-
-
 def test_solve_far_groups_recurses():
     # two clusters of 3 points far apart: the split is optimal
     coords = [(0.0,), (0.1,), (0.2,), (100.0,), (100.1,), (100.2,)]
