@@ -13,16 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 from .errors import AlgorithmInvariantError, DomainError, PartitionError
-from .labeling import Labeling, konig_labeling
+from .labeling import Labeling, _konig_labeling
 from .metric import MetricInstance, TuplePartition, _is_int
 from .trees import (
     Forest,
     Tree,
     _leaf_rooted,
     _normalize_edge,
-    forest_bottleneck,
     minimum_spanning_tree,
     split_tree_at_edge,
 )
@@ -71,7 +71,10 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
 
     parent = tree.parent_map
     depth = tree.depth_map
-    kids = {v: set(c) for v, c in tree.children_map().items()}
+    adj = tree.adjacency
+    kids = dict(zip(adj, map(set, adj.values())))
+    for v, p in parent.items():
+        kids[v].discard(p)
     # size is read only while a node has k or more nodes.  It is exact for
     # candidates; above a node of k or more it may still count the buckets
     # banked in owed[] below, until that node falls under k.
@@ -170,7 +173,9 @@ def forest_from_tree(
     if tree.nodes != frozenset(range(tuples.point_count)):
         raise PartitionError("tree nodes must be exactly the tuple partition's points")
     bp = bucketize(tree, k)
-    lab = konig_labeling(tuples.tuples, bp.buckets, k)
+    # The tuples were validated when the partition was built, and bucketize
+    # checks that its buckets cover the tree's nodes k at a time.
+    lab = _konig_labeling(tuples.tuples, bp.buckets, k)
     m = len(bp.buckets)
     slot = [[-1] * k for _ in range(m)]
     for j, bucket in enumerate(bp.buckets):
@@ -223,7 +228,7 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
         # A side with one point of every pair holds half the points.  Only
         # the edge above a half-size subtree cuts off such a side, and a tree
         # has at most one: two would leave an empty part between them.
-        size = rooted.subtree_sizes()
+        size = rooted._spans[0]
         cut = [_normalize_edge(v, rooted.parent_map[v]) for v in size if 2 * size[v] == len(size)]
         if cut and instance._lengths(cut) == [mst_bot]:
             side_u, side_v = split_tree_at_edge(rooted, cut[0])
@@ -233,9 +238,12 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
     if forest is None:
         forest, bp, lab = forest_from_tree(rooted, tuples)
         labels = tuple(lab.labels[p] for p in instance.points())
+    # Every tree holds one point of each tuple, so all or none have edges,
+    # and the largest of all their lengths is forest_bottleneck's answer.
+    edges = chain.from_iterable(t.edges for t in forest.trees)
     return DbstResult(
         forest=forest,
-        bottleneck=forest_bottleneck(forest, instance),
+        bottleneck=max(instance._lengths(edges), default=0.0),
         mst=mst,
         mst_bottleneck=mst_bot,
         labels=labels,

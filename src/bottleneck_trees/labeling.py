@@ -152,6 +152,15 @@ def konig_labeling(a_groups, b_groups, k: int) -> Labeling:
         raise DomainError(f"konig_labeling needs an integer k, got {k!r}")
     if size != k:
         raise PartitionError(f"groups have size {size}, expected k={k}")
+    return _konig_labeling(a, b, k)
+
+
+def _konig_labeling(a, b, k: int) -> Labeling:
+    """konig_labeling() on a double partition of size-k groups known to be valid.
+
+    The labels do not depend on the order of points inside a group: the
+    representatives are read through group membership and `min`.
+    """
     labels: dict[int, int] = {}
     cur_a = [list(g) for g in a]
     cur_b = [list(g) for g in b]

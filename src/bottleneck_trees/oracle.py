@@ -5,10 +5,10 @@ an approximate oracle is worthless as a baseline.  A group of points is
 connectable with edges up to d exactly when it is connected in the graph of
 all pairs at distance <= d, so group quality is measured by that threshold:
 the group's minimum spanning tree bottleneck, read off the package's one MST
-kernel (`trees._mst_triples`).  `exact_pbst` reads one local table of
-distances, and `exact_bottleneck_tour` scores each candidate tour with
-`tours.tour_bottleneck`; no oracle calls the checked
-`MetricInstance.distance`.
+kernel (`trees._mst_triples`).  `exact_pbst` and the lower bound of
+`exact_gbst` read one local table of distances, and `exact_bottleneck_tour`
+scores each candidate tour with `tours.tour_bottleneck`; no oracle calls the
+checked `MetricInstance.distance`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from bisect import bisect_left
 from itertools import permutations, product
 from math import factorial, inf
 
-from .errors import DomainError, OracleSizeError, PartitionError
+from .errors import AlgorithmInvariantError, DomainError, OracleSizeError, PartitionError
 from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
 from .tours import tour_bottleneck
 from .trees import Forest, Tree, UnionFind, _mst_triples, minimum_spanning_tree
@@ -71,7 +71,11 @@ def exact_dbst(
 def exact_gbst(
     instance: MetricInstance, clusters: ClusterPartition
 ) -> tuple[Tree, float]:
-    """Optimal cluster-spanning tree by enumerating representative choices."""
+    """Optimal cluster-spanning tree by enumerating representative choices.
+
+    The first choice with the smallest threshold wins.  No choice is below
+    `_cover_bound`, so the enumeration stops at a choice that reaches it.
+    """
     if len(clusters.clusters) > 12:
         raise OracleSizeError(
             f"exact_gbst is capped at 12 clusters (got {len(clusters.clusters)})"
@@ -79,14 +83,41 @@ def exact_gbst(
     if clusters.max_size() > 2:
         raise PartitionError("exact_gbst handles clusters of size at most 2")
     clusters.check_covers(instance)
+    bound = _cover_bound(_table(instance), clusters.clusters)
     best_value: float | None = None
     best_choice: tuple[int, ...] | None = None
     for choice in product(*clusters.clusters):
         value = _threshold(instance, sorted(choice))
         if best_value is None or value < best_value:
             best_value, best_choice = value, choice
+            if value <= bound:  # no later choice can be strictly better
+                break
     assert best_choice is not None and best_value is not None
     return minimum_spanning_tree(instance, best_choice), best_value
+
+
+def _table(instance: MetricInstance) -> list[list[float]]:
+    """Every distance, table[u][v] = d(u, v), read once."""
+    points = instance.points()
+    return [instance._lengths([(u, v) for v in points]) for u in points]
+
+
+def _merges(table: list[list[float]]):
+    """(d, kept root, absorbed root) for each merge of a sweep over the pairs.
+
+    Pairs are taken in ascending (min(table[u][v], table[v][u]), u, v)
+    order, so after the merges at distances up to d the components are
+    those of the pairs within d, read in either direction.
+    """
+    total = len(table)
+    uf = UnionFind(range(total))
+    pairs = sorted(
+        (min(table[u][v], table[v][u]), u, v) for u in range(total) for v in range(u + 1, total)
+    )
+    for d, u, v in pairs:
+        ru, rv = uf.find(u), uf.find(v)
+        if uf.union(ru, rv):  # ru stays the root
+            yield d, ru, rv
 
 
 def _multiple_bound(table: list[list[float]], n: int) -> float:
@@ -98,23 +129,34 @@ def _multiple_bound(table: list[list[float]], n: int) -> float:
     It is -inf when the single points already qualify (n = 1).
     """
     total = len(table)
-    uf = UnionFind(range(total))
     size = [1] * total
     uneven = total if n > 1 else 0  # components whose size is not a multiple of n
     bound = -inf
-    pairs = sorted(
-        (min(table[u][v], table[v][u]), u, v) for u in range(total) for v in range(u + 1, total)
-    )
-    for d, u, v in pairs:
+    for d, ru, rv in _merges(table):
         if not uneven:
             break
-        ru, rv = uf.find(u), uf.find(v)
-        if uf.union(ru, rv):  # ru stays the root
-            uneven -= (size[ru] % n > 0) + (size[rv] % n > 0)
-            size[ru] += size[rv]
-            uneven += size[ru] % n > 0
-            bound = d
+        uneven -= (size[ru] % n > 0) + (size[rv] % n > 0)
+        size[ru] += size[rv]
+        uneven += size[ru] % n > 0
+        bound = d
     return bound
+
+
+def _cover_bound(table: list[list[float]], clusters: tuple[tuple[int, ...], ...]) -> float:
+    """Smallest d at which some component of the pairs within d meets every cluster.
+
+    This is T1's threshold.  An optimal tree's edges are within OPT, so its
+    points lie in one such component at OPT: the bound is at most OPT.  It
+    is -inf when one cluster is all there is.
+    """
+    if len(clusters) == 1:
+        return -inf
+    covered = {p: {i} for i, g in enumerate(clusters) for p in g}
+    for d, ru, rv in _merges(table):
+        covered[ru] |= covered.pop(rv)
+        if len(covered[ru]) == len(clusters):
+            return d
+    raise AlgorithmInvariantError("no component ever covered all clusters")
 
 
 def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
@@ -139,7 +181,7 @@ def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
             f"(kn={total}, k={k} is too large)"
         )
     points = instance.points()
-    table = [instance._lengths([(u, v) for v in points]) for u in points]
+    table = _table(instance)
     candidates = sorted({0.0} | {d for u in points for d in table[u][u + 1 :]})
 
     def feasible(d: float) -> list[list[int]] | None:

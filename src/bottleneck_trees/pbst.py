@@ -49,7 +49,8 @@ def _branches(t: Tree, x: int) -> list[tuple[int, set[int], tuple[tuple[int, int
     Each subtree is a slice of t's preorder; one pass over t's edges, which
     keep their order, sorts them into the subtrees.
     """
-    children = t.children_map()[x]
+    parent = t.parent_map[x]
+    children = [u for u in t.adjacency[x] if u != parent]
     top = {y: u for u in children for y in t._below(u)}
     inner: dict[int, list[tuple[int, int]]] = {u: [] for u in children}
     for e in t.edges:

@@ -24,7 +24,8 @@ Validation happens at the boundary, and metric.py's one C-speed id check,
 `_check_int_ids`, decides what a node id is: a hand-built `Tree`, a tree
 document, and every node argument (`Tree._check_nodes`) go through it.
 Trees derived from a valid tree (the MST, `rooted_at`, the sides of
-`split_tree_at_edge`) are built by `Tree._from_valid` without checks; trees
+`split_tree_at_edge`) are built by `Tree._from_valid` without checks, and a
+`rooted_at` copy shares its source's adjacency; trees
 wired from new edges (`Tree._wired`) check their structure, not their ids.
 Distance reads over a tree are one `_check_ids` pass over its nodes.
 """
@@ -97,7 +98,8 @@ class Tree:
     """An explicit tree: a node set, |nodes|-1 unordered edges, optional root.
 
     A single node with no edges is a valid tree.  Values are immutable;
-    derived structure (adjacency, rooting) is cached lazily.
+    derived structure (adjacency, rooting) is cached lazily, and a re-rooted
+    copy shares the adjacency of the tree it came from.
     """
 
     nodes: frozenset[int]
@@ -172,10 +174,13 @@ class Tree:
         _check_int_ids(ids, what)
 
     def rooted_at(self, root: int) -> "Tree":
+        """The same tree rooted at `root`; it shares this tree's adjacency."""
         self._check_nodes(root, what="tree root")
         if root == self.root:
             return self
-        return Tree._from_valid(self.nodes, self.edges, root)
+        rooted = Tree._from_valid(self.nodes, self.edges, root)
+        rooted.__dict__["adjacency"] = self.adjacency
+        return rooted
 
     @cached_property
     def _rooting(self) -> tuple[dict[int, int | None], dict[int, int], list[int]]:
@@ -245,9 +250,10 @@ class Tree:
 
 def _leaf_rooted(tree: Tree) -> Tree:
     """The tree rooted at a leaf: keep a leaf root, else take the lowest leaf."""
-    if tree.root is not None and len(tree.adjacency[tree.root]) <= 1:
+    adj = tree.adjacency
+    if tree.root is not None and len(adj[tree.root]) <= 1:
         return tree
-    return tree.rooted_at(min(tree.leaves()))
+    return tree.rooted_at(min(v for v, nbrs in adj.items() if len(nbrs) <= 1))
 
 
 @dataclass(frozen=True)

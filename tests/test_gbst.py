@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -18,6 +19,7 @@ from bottleneck_trees import (
     solve_2gbst,
 )
 from bottleneck_trees.gbst import BURNED, SELECTED
+from bottleneck_trees.oracle import _cover_bound, _table, _threshold
 from bottleneck_trees.generators import (
     euclidean_instance,
     gbst_path8,
@@ -273,3 +275,69 @@ def test_solve_ratio_against_oracle():
         chosen = result.tree.nodes
         for g in clusters.clusters:
             assert len(chosen & set(g)) == 1
+
+
+def _reference_exact_gbst(instance, clusters):
+    """exact_gbst before it stopped at a lower bound (its size checks left out)."""
+    best_value = None
+    best_choice = None
+    for choice in product(*clusters.clusters):
+        value = _threshold(instance, sorted(choice))
+        if best_value is None or value < best_value:
+            best_value, best_choice = value, choice
+    return minimum_spanning_tree(instance, best_choice), best_value
+
+
+def _gbst_oracle_cases():
+    """Seeded (instance, clusters) pairs: Euclidean, random-metric, tie-heavy
+    3x3 integer grids with duplicates, asymmetric integer matrices and
+    matrices with negative entries, on 1-16 points."""
+    rng = random.Random(41)
+    kinds = ("euclidean", "metric", "grid", "asymmetric", "negative")
+    for i in range(300):
+        n = 1 + i % 16
+        kind = kinds[i // 16 % len(kinds)]
+        if kind == "euclidean":
+            inst = euclidean_instance(2, n, rng)
+        elif kind == "metric":
+            inst = random_metric_instance(n, rng)
+        elif kind == "grid":
+            inst = MetricInstance.from_coordinates(
+                [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(n)]
+            )
+        else:
+            low = -3 if kind == "negative" else 0
+            inst = MetricInstance.from_matrix(
+                [[rng.randint(low, 5) for _ in range(n)] for _ in range(n)]
+            )
+        # at most 12 clusters: s singletons and (n - s) / 2 pairs
+        singletons = rng.choice(range(n % 2, min(n, 24 - n) + 1, 2))
+        yield inst, random_clusters(n, rng, singletons=singletons)
+
+
+def test_exact_gbst_stops_at_a_bound_that_keeps_its_answers():
+    cases = list(_gbst_oracle_cases())
+    assert len(cases) == 300
+    for inst, clusters in cases:
+        tree, value = exact_gbst(inst, clusters)
+        want_tree, want_value = _reference_exact_gbst(inst, clusters)
+        assert (tree.nodes, tree.edges, tree.root) == (
+            want_tree.nodes,
+            want_tree.edges,
+            want_tree.root,
+        )
+        assert repr(value) == repr(want_value)
+        assert _cover_bound(_table(inst), clusters.clusters) <= value
+
+
+def test_cover_bound_is_t1s_threshold():
+    rng = random.Random(43)
+    for trial in range(120):
+        n = rng.randint(2, 14)
+        inst = euclidean_instance(2, n, rng) if trial % 2 else random_metric_instance(n, rng)
+        clusters = _random_even_clusters(n, rng)
+        bound = _cover_bound(_table(inst), clusters.clusters)
+        if len(clusters.clusters) == 1:
+            assert bound == float("-inf")
+        else:
+            assert bound == bottleneck(build_t1(inst, clusters), inst)

@@ -12,6 +12,7 @@ from bottleneck_trees import (
     konig_labeling,
     representatives,
 )
+from bottleneck_trees.labeling import _konig_labeling
 
 # The worked 12-element example with k=3, n=4 (ids shifted to 0-based):
 EXAMPLE_A = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
@@ -131,3 +132,22 @@ def test_non_integer_ids_raise_domain_error(a, b):
         konig_labeling(a, b, 2)
     with pytest.raises(DomainError, match="not an integer"):
         is_valid_labeling(Labeling(labels={0: 0, 1: 1}, k=2), a, b)
+
+
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=1, max_value=15),
+    st.integers(min_value=0, max_value=10**6),
+)
+@settings(max_examples=150, deadline=None)
+def test_unchecked_core_labels_as_the_public_labeling(k, n, seed):
+    # forest_from_tree passes its tuples as TuplePartition stores them
+    # (ascending) and its buckets in extraction order, unchecked.
+    rng = random.Random(seed)
+    a, b = _random_double_partition(k * n, k, rng)
+    sorted_a = tuple(tuple(sorted(g)) for g in a)
+    shuffled_b = tuple(tuple(rng.sample(g, k)) for g in b)
+    want = konig_labeling(a, b, k)
+    got = _konig_labeling(sorted_a, shuffled_b, k)
+    assert got.k == want.k == k
+    assert list(got.labels.items()) == list(want.labels.items())

@@ -576,6 +576,36 @@ def test_children_map_matches_the_rebuild_it_replaced():
             assert list(rooted.children_map().items()) == list(want.items())
 
 
+def test_rooted_copies_share_the_adjacency_and_leave_their_source_alone():
+    rng = random.Random(23)
+    trees = [random_tree(rng.randint(1, 40), rng) for _ in range(60)]
+    for shape in ("recursive", "path", "star", "caterpillar", "broom"):
+        trees += [_shaped_tree(shape, rng.randint(1, 500), rng) for _ in range(2)]
+    inst = euclidean_instance(2, 60, rng)
+    trees.append(minimum_spanning_tree(inst, inst.points()))
+    trees += [t.rooted_at(max(t.nodes)) for t in trees[::7]]
+    for i, source in enumerate(trees):
+        if i % 2:
+            source._spans  # cache the source's rooting before re-rooting
+        root_before = source.root
+        nodes = sorted(source.nodes)
+        roots = sorted({nodes[0], nodes[-1], *rng.sample(nodes, min(4, len(nodes)))})
+        for root in roots:
+            copy = source.rooted_at(root)
+            fresh = Tree(source.nodes, source.edges, root)
+            assert copy.root == root
+            assert copy.adjacency is source.adjacency
+            assert list(copy.adjacency.items()) == list(fresh.adjacency.items())
+            assert copy._rooting == fresh._rooting
+            assert copy._spans == fresh._spans
+        # Each copy roots itself; the source keeps its root and cached rooting.
+        alone = Tree(source.nodes, source.edges, root_before)
+        assert source.root == root_before
+        assert list(source.adjacency.items()) == list(alone.adjacency.items())
+        assert source._rooting == alone._rooting
+        assert source._spans == alone._spans
+
+
 @given(random_trees, st.randoms(use_true_random=False), st.integers(0, 10**6))
 @settings(max_examples=50, deadline=None)
 def test_metric_path_bound(tree, rnd, seed):
