@@ -742,6 +742,32 @@ def test_wired_tree_checks_structure():
         Tree._wired({0, 1}, [(0, 1)], 2, source)
 
 
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        # a cycle edge before an edge with an endpoint outside the nodes
+        ([(0, 1), (1, 2), (0, 2), (3, 9)], "edges contain a cycle (adding (0, 2))"),
+        ([(0, 1), (0, 1), (2, 9), (2, 3)], "edges contain a cycle (adding (0, 1))"),
+        # the reverse: the outside endpoint comes first
+        ([(3, 9), (0, 1), (1, 2), (0, 2)], "edge (3, 9) has an endpoint outside the node set"),
+        ([(0, 1), (1, 2), (2, 9), (0, 2)], "edge (2, 9) has an endpoint outside the node set"),
+        # the last edge closes the cycle, and one with no outside edge at all
+        ([(2, 3), (1, 2), (0, 1), (1, 3)], "edges contain a cycle (adding (1, 3))"),
+        ([(3, 4), (0, 3), (0, 4), (1, 2)], "edges contain a cycle (adding (0, 4))"),
+    ],
+)
+def test_structure_check_names_the_first_offending_edge(edges, message):
+    from bottleneck_trees.trees import _check_structure
+
+    nodes = frozenset(range(5))
+    with pytest.raises(DomainError) as caught:
+        _check_structure(nodes, tuple(edges), None)
+    assert str(caught.value) == message
+    with pytest.raises(DomainError) as caught:
+        Tree(nodes, edges)
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("bad", [-1, 3, 7])
 @pytest.mark.parametrize("kind", ["coordinates", "matrix"])
 def test_trusted_reads_range_check_user_trees(kind, bad):
