@@ -209,9 +209,12 @@ class DbstResult:
 def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
     """k node-disjoint trees, one point of every tuple each.
 
-    The achieved bottleneck is at most (3k-2) times the optimum.  For k=2,
-    if removing a longest tree edge leaves every tuple with one point per
-    side, the two sides themselves are returned (and are optimal).
+    For k=2 the achieved bottleneck is at most 4 times the optimum, and if
+    removing a longest tree edge leaves every tuple with one point per side,
+    the two sides themselves are returned (and are optimal).  For k >= 3 the
+    3k-2 bound fails: MST edges between separated groups of whole tuples are
+    bucketed too (199.0 against an optimum of 1.0 on the points 0, 100,
+    200, 1, 101, 201 with tuples (0, 1, 2) and (3, 4, 5)).
     """
     k = tuples.k
     if instance.point_count != tuples.point_count:

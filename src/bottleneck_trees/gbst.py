@@ -4,7 +4,8 @@ Two stages.  First a threshold sweep grows components edge by edge in
 distance order and stops at the first component touching every cluster; its
 spanning tree T1 has bottleneck no larger than any feasible solution's.  The
 sweep is a Kruskal prefix of the solve's one minimum spanning tree (dense
-Prim, O(n^2) time), so T1 is a subtree of that MST.
+Prim, O(n^2) time), so T1 is a subtree of that MST.  `_cover` runs it
+through `trees._merges`, and the exact oracle's bound runs it on all pairs.
 Second, a select-and-burn walk over rooted T1 keeps one node per cluster,
 and every kept node can reach a kept node closer to the root within three
 hops, giving a tree whose metric bottleneck is at most 3x that of T1.
@@ -21,7 +22,7 @@ from .errors import (
     PartitionError,
 )
 from .metric import ClusterPartition, MetricInstance
-from .trees import Tree, UnionFind, bottleneck, minimum_spanning_tree
+from .trees import Tree, _merges, minimum_spanning_tree
 
 SELECTED = "selected"
 BURNED = "burned"
@@ -43,41 +44,42 @@ def _check_pair_clusters(clusters: ClusterPartition) -> None:
         raise PartitionError("this solver handles clusters of size at most 2")
 
 
+def _cover(triples, clusters: tuple[tuple[int, ...], ...]) -> tuple[object, list[int]]:
+    """The key of the first merge after which a component meets all (two or
+    more) clusters, and its points; clusters and points merge small into large."""
+    parts = {p: ({i}, [p]) for i, g in enumerate(clusters) for p in g}
+    for key, kept, absorbed in _merges(triples, parts):
+        big, small = parts[kept], parts.pop(absorbed)
+        if len(big[1]) < len(small[1]):
+            big, small = small, big
+        big[0].update(small[0])
+        big[1].extend(small[1])
+        parts[kept] = big
+        if len(big[0]) == len(clusters):
+            return key, big[1]
+    raise AlgorithmInvariantError("no component ever covered all clusters")
+
+
 def build_t1(instance: MetricInstance, clusters: ClusterPartition) -> Tree:
     """Smallest-threshold tree touching at least one point of every cluster.
 
     A threshold sweep in ascending (distance, u, v) order merges components
     only on minimum spanning tree edges, so it is run as a Kruskal prefix of
-    the one MST over all points: its edges are swept in order and the sweep
-    stops the moment one component covers all clusters.  That component's
-    swept edges, in sweep order, are its own minimum spanning tree, and their
+    the one MST over all points: `_cover` sweeps its edges in order and stops
+    the moment one component covers all clusters.  That component's swept
+    edges, in sweep order, are its own minimum spanning tree, and their
     bottleneck is the stopping threshold.
     """
     _check_pair_clusters(clusters)
     clusters.check_covers(instance)
-    m = len(clusters.clusters)
-    if m == 1:
+    if len(clusters.clusters) == 1:
         p = clusters.clusters[0][0]
         return Tree._from_valid(frozenset({p}), ())
 
     mst = minimum_spanning_tree(instance, instance.points())
-    uf = UnionFind(instance.points())
-    covered: dict[int, set[int]] = {
-        p: {i} for i, g in enumerate(clusters.clusters) for p in g
-    }
-    for at, (u, v) in enumerate(mst.edges):
-        root, other = uf.find(u), uf.find(v)
-        uf.union(root, other)
-        merged = covered.pop(other)
-        if len(merged) > len(covered[root]):
-            covered[root], merged = merged, covered[root]
-        covered[root] |= merged
-        if len(covered[root]) == m:
-            swept = mst.edges[: at + 1]
-            edges = tuple(e for e in swept if uf.find(e[0]) == root)
-            nodes = frozenset(p for p in instance.points() if uf.find(p) == root)
-            return Tree._from_valid(nodes, edges)
-    raise AlgorithmInvariantError("no component ever covered all clusters")
+    at, points = _cover(((i, *e) for i, e in enumerate(mst.edges)), clusters.clusters)
+    nodes = frozenset(points)
+    return Tree._from_valid(nodes, tuple(e for e in mst.edges[: at + 1] if e[0] in nodes))
 
 
 def select_nodes(t1: Tree, clusters: ClusterPartition) -> NodeSelection:
@@ -216,8 +218,8 @@ def solve_2gbst(instance: MetricInstance, clusters: ClusterPartition) -> GbstRes
     t2 = build_t2(t1, selection)
     return GbstResult(
         tree=t2,
-        bottleneck=bottleneck(t2, instance),
+        bottleneck=max(instance._lengths(t2.edges), default=0.0),
         t1=t1,
-        t1_bottleneck=bottleneck(t1, instance),
+        t1_bottleneck=max(instance._lengths(t1.edges), default=0.0),
         selection=selection,
     )

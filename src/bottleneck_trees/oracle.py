@@ -8,7 +8,8 @@ the group's minimum spanning tree bottleneck, read off the package's one MST
 kernel (`trees._mst_triples`).  `exact_pbst` and the lower bound of
 `exact_gbst` read one local table of distances, and `exact_bottleneck_tour`
 scores each candidate tour with `tours.tour_bottleneck`; no oracle calls the
-checked `MetricInstance.distance`.
+checked `MetricInstance.distance`.  Their lower bounds sweep the table's
+pairs through `trees._merges`, the package's one union-find.
 """
 
 from __future__ import annotations
@@ -17,10 +18,11 @@ from bisect import bisect_left
 from itertools import permutations, product
 from math import factorial, inf
 
-from .errors import AlgorithmInvariantError, DomainError, OracleSizeError, PartitionError
+from .errors import DomainError, OracleSizeError, PartitionError
+from .gbst import _cover
 from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
 from .tours import tour_bottleneck
-from .trees import Forest, Tree, UnionFind, _mst_triples, minimum_spanning_tree
+from .trees import Forest, Tree, _merges, _mst_triples, minimum_spanning_tree
 
 
 def _threshold(instance: MetricInstance, points: list[int]) -> float:
@@ -102,22 +104,12 @@ def _table(instance: MetricInstance) -> list[list[float]]:
     return [instance._lengths([(u, v) for v in points]) for u in points]
 
 
-def _merges(table: list[list[float]]):
-    """(d, kept root, absorbed root) for each merge of a sweep over the pairs.
-
-    Pairs are taken in ascending (min(table[u][v], table[v][u]), u, v)
-    order, so after the merges at distances up to d the components are
-    those of the pairs within d, read in either direction.
-    """
+def _pairs(table: list[list[float]]) -> list[tuple[float, int, int]]:
+    """Every pair (min(table[u][v], table[v][u]), u, v) with u < v, ascending."""
     total = len(table)
-    uf = UnionFind(range(total))
-    pairs = sorted(
+    return sorted(
         (min(table[u][v], table[v][u]), u, v) for u in range(total) for v in range(u + 1, total)
     )
-    for d, u, v in pairs:
-        ru, rv = uf.find(u), uf.find(v)
-        if uf.union(ru, rv):  # ru stays the root
-            yield d, ru, rv
 
 
 def _multiple_bound(table: list[list[float]], n: int) -> float:
@@ -132,7 +124,7 @@ def _multiple_bound(table: list[list[float]], n: int) -> float:
     size = [1] * total
     uneven = total if n > 1 else 0  # components whose size is not a multiple of n
     bound = -inf
-    for d, ru, rv in _merges(table):
+    for d, ru, rv in _merges(_pairs(table), range(total)):
         if not uneven:
             break
         uneven -= (size[ru] % n > 0) + (size[rv] % n > 0)
@@ -145,18 +137,14 @@ def _multiple_bound(table: list[list[float]], n: int) -> float:
 def _cover_bound(table: list[list[float]], clusters: tuple[tuple[int, ...], ...]) -> float:
     """Smallest d at which some component of the pairs within d meets every cluster.
 
-    This is T1's threshold.  An optimal tree's edges are within OPT, so its
-    points lie in one such component at OPT: the bound is at most OPT.  It
-    is -inf when one cluster is all there is.
+    This is T1's threshold: `gbst._cover` runs the same test on the pairs
+    that `build_t1` runs on the MST's edges.  An optimal tree's edges are
+    within OPT, so its points lie in one such component at OPT: the bound
+    is at most OPT.  It is -inf when one cluster is all there is.
     """
     if len(clusters) == 1:
         return -inf
-    covered = {p: {i} for i, g in enumerate(clusters) for p in g}
-    for d, ru, rv in _merges(table):
-        covered[ru] |= covered.pop(rv)
-        if len(covered[ru]) == len(clusters):
-            return d
-    raise AlgorithmInvariantError("no component ever covered all clusters")
+    return _cover(_pairs(table), clusters)[0]
 
 
 def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:

@@ -5,9 +5,9 @@ into k disjoint trees of exactly n nodes whose edges span at most 2 hops in
 the source tree for k in {2, 3} and at most 3 hops for k >= 4 (both bounds
 are tight).  The metric solver builds one minimum spanning tree per solve and
 first cuts it at longest edges whose sides both hold multiples of n points;
-each side of such a cut is the MST of its own points.  One union-find sweep
-over the MST's edges decides every cut, and the partitions then run on the
-components left whole.
+each side of such a cut is the MST of its own points.  One sweep of
+`trees._merges`, the package's one union-find, over the MST's edges decides
+every cut, and the partitions then run on the components left whole.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ from .metric import MetricInstance, _is_int
 from .trees import (
     Forest,
     Tree,
-    UnionFind,
     _leaf_rooted,
+    _merges,
     cube_hamiltonian_path_between,
-    forest_bottleneck,
     minimum_spanning_tree,
 )
 
@@ -298,8 +297,8 @@ class PbstResult:
 def _solve_subset(mst: Tree, lengths: list[float], k: int, n: int) -> list[Tree]:
     """k trees of n points each from `mst`, whose edges have `lengths`.
 
-    One union-find sweep over the MST's edges in (length, -index) order
-    builds its single-linkage merge tree: each edge merges the last merges
+    One sweep of `trees._merges` over the MST's edges in (length, -index)
+    order builds its single-linkage merge tree: each edge merges the last merges
     of its u- and v-side components, so a component's last merge is its
     longest edge, the earliest among ties.  A merge is clean when both
     sides hold multiples of n points.  Walking down from the last merge on
@@ -309,16 +308,13 @@ def _solve_subset(mst: Tree, lengths: list[float], k: int, n: int) -> list[Tree]
     is; a larger one goes to the balanced partition.
     """
     edges = mst.edges
-    uf = UnionFind(mst.nodes)
     last: dict[int, int] = {}  # component root -> index of its last merge
     size = dict.fromkeys(mst.nodes, 1)  # component root -> points
     merges: dict[int, tuple[int | None, int | None, bool]] = {}
     order = sorted(range(len(edges)), key=lambda i: (lengths[i], -i))
-    for i in order:
-        ru, rv = uf.find(edges[i][0]), uf.find(edges[i][1])
+    for i, ru, rv in _merges(((i, *edges[i]) for i in order), mst.nodes):
         clean = size[ru] % n == 0 and size[rv] % n == 0
         merges[i] = (last.get(ru), last.get(rv), clean)
-        uf.union(ru, rv)  # ru stays the root
         size[ru] += size[rv]
         last[ru] = i
     top = order[-1]  # the last merge spans every point
@@ -370,8 +366,9 @@ def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
     mst = minimum_spanning_tree(instance, instance.points())
     lengths = instance._lengths(mst.edges)
     forest = Forest(tuple(_solve_subset(mst, lengths, k, n)))
+    edges = chain.from_iterable(t.edges for t in forest.trees)  # n >= 3: none is empty
     return PbstResult(
         forest=forest,
-        bottleneck=forest_bottleneck(forest, instance),
+        bottleneck=max(instance._lengths(edges)),
         mst_bottleneck=max(lengths),
     )

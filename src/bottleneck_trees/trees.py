@@ -28,6 +28,9 @@ Trees derived from a valid tree (the MST, `rooted_at`, the sides of
 `rooted_at` copy shares its source's adjacency; trees
 wired from new edges (`Tree._wired`) check their structure, not their ids.
 Distance reads over a tree are one `_check_ids` pass over its nodes.
+
+`_merges` is the package's one union-find: PBST's splits, GBST's T1, the
+oracles' bounds and `_check_structure`'s cycle check all sweep through it.
 """
 
 from __future__ import annotations
@@ -46,27 +49,23 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
 
 
-class UnionFind:
-    """Disjoint sets over hashable items with path compression."""
+def _merges(triples, items):
+    """(key, kept, absorbed) for each (key, u, v) triple that joins two components.
 
-    def __init__(self, items=()):
-        self._parent: dict = {x: x for x in items}
-
-    def find(self, x):
-        parent = self._parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, x, y) -> bool:
-        rx, ry = self.find(x), self.find(y)
-        if rx == ry:
-            return False
-        self._parent[ry] = rx
-        return True
+    Components start as the single `items` and the triples are taken in
+    the caller's order.  `kept` and `absorbed` are the roots of u's and v's
+    components, and `kept` stays the root of their union, so callers key
+    their own per-component state on the roots.
+    """
+    parent = {x: x for x in items}
+    for key, u, v in triples:
+        while parent[u] != u:  # climb to the roots, halving the paths
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        if u != v:
+            parent[v] = u
+            yield key, u, v
 
 
 def _check_structure(
@@ -83,12 +82,13 @@ def _check_structure(
         raise DomainError(
             f"a tree on {len(nodes)} nodes needs {len(nodes) - 1} edges, got {len(edges)}"
         )
-    uf = UnionFind(nodes)
-    for u, v in edges:
+    inside = ((i, u, v) for i, (u, v) in enumerate(edges) if u in nodes and v in nodes)
+    joined = [i for i, _, _ in _merges(inside, nodes)]
+    if len(joined) < len(edges):  # name the first edge that joined nothing
+        u, v = edges[next(at for at, i in enumerate([*joined, None]) if i != at)]
         if u not in nodes or v not in nodes:
             raise DomainError(f"edge ({u}, {v}) has an endpoint outside the node set")
-        if not uf.union(u, v):
-            raise DomainError(f"edges contain a cycle (adding ({u}, {v}))")
+        raise DomainError(f"edges contain a cycle (adding ({u}, {v}))")
     if root is not None and root not in nodes:
         raise DomainError(f"root {root} is not a node of the tree")
 

@@ -412,3 +412,37 @@ def test_exact_dbst_caps():
 
     with pytest.raises(OracleSizeError):
         exact_dbst(inst, random_tuples(14, 2, random.Random(0)))
+
+
+def _separated_line(k):
+    """Points 0, 100, ..., 100(k-1), then each shifted by 1; two k-tuples.
+
+    The tuples are the first k points and the last k.  The trees
+    {i, k + i} are 1 long and no two points are closer, so OPT is 1.
+    """
+    xs = [100.0 * i for i in range(k)] + [100.0 * i + 1 for i in range(k)]
+    inst = MetricInstance.from_coordinates([(x,) for x in xs])
+    return inst, TuplePartition(k=k, tuples=(tuple(range(k)), tuple(range(k, 2 * k))))
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_separated_line_optimum_is_one(k):
+    inst, tuples = _separated_line(k)
+    forest = Forest(tuple(Tree(frozenset({i, k + i}), ((i, k + i),)) for i in range(k)))
+    for tree in forest.trees:
+        assert all(len(tree.nodes & set(t)) == 1 for t in tuples.tuples)
+    assert forest_bottleneck(forest, inst) == 1.0
+    assert min(inst.distance(u, v) for u in range(2 * k) for v in range(u)) == 1.0
+    if k == 3:
+        assert exact_dbst(inst, tuples)[1] == 1.0
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 3k-2 bound fails for k >= 3: the whole MST is bucketed, "
+    "its edges between the separated groups included (199.0 for k = 3, 201.0 for k = 4)",
+)
+@pytest.mark.parametrize("k", [3, 4])
+def test_separated_line_within_3k_minus_2(k):
+    inst, tuples = _separated_line(k)
+    assert solve_dbst(inst, tuples).bottleneck <= (3 * k - 2) * 1.0

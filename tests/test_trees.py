@@ -41,7 +41,9 @@ from bottleneck_trees.generators import (
 )
 import bottleneck_trees.pbst as pbst
 from bottleneck_trees.trees import (
+    _check_structure,
     _cube_order,
+    _merges,
     _mst_triples,
     _normalize_edge,
     tree_from_dict,
@@ -757,8 +759,6 @@ def test_wired_tree_checks_structure():
     ],
 )
 def test_structure_check_names_the_first_offending_edge(edges, message):
-    from bottleneck_trees.trees import _check_structure
-
     nodes = frozenset(range(5))
     with pytest.raises(DomainError) as caught:
         _check_structure(nodes, tuple(edges), None)
@@ -766,6 +766,113 @@ def test_structure_check_names_the_first_offending_edge(edges, message):
     with pytest.raises(DomainError) as caught:
         Tree(nodes, edges)
     assert str(caught.value) == message
+
+
+def _bfs_components(items, pairs) -> set[frozenset]:
+    """The components of the graph on `items` with edges `pairs`, by search."""
+    adj = {x: [] for x in items}
+    for u, v in pairs:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen: set = set()
+    out = set()
+    for s in items:
+        if s in seen:
+            continue
+        seen.add(s)
+        comp, stack = [s], [s]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        out.add(frozenset(comp))
+    return out
+
+
+def _check_merges(triples, items) -> list:
+    """Run `_merges` and hold every yield to the search reference; return the yields.
+
+    The triples are fed one at a time, so each yield is pinned to the triple
+    just taken: that triple must join two components, the components after
+    it must be those of the triples taken so far, and `kept` and `absorbed`
+    must be the roots of u's and v's components, `kept` staying the root of
+    their union.  No other triple may yield.
+    """
+    triples = list(triples)
+    taken: list = []
+
+    def feed():
+        for t in triples:
+            taken.append(t)
+            yield t
+
+    yields = []
+    root = {x: x for x in items}  # item -> its component's root
+    for key, kept, absorbed in _merges(feed(), items):
+        _, u, v = triples[len(taken) - 1]
+        before = _bfs_components(items, [(a, b) for _, a, b in taken[:-1]])
+        after = _bfs_components(items, [(a, b) for _, a, b in taken])
+        assert before != after
+        assert key == taken[-1][0]
+        assert (kept, absorbed) == (root[u], root[v])
+        for x in items:
+            if root[x] == absorbed:
+                root[x] = kept
+        yields.append((len(taken) - 1, key, kept, absorbed))
+    assert len(taken) == len(triples)
+    joining = [
+        t
+        for t in range(len(triples))
+        if _bfs_components(items, [(a, b) for _, a, b in triples[:t]])
+        != _bfs_components(items, [(a, b) for _, a, b in triples[: t + 1]])
+    ]
+    assert [t for t, _, _, _ in yields] == joining
+    assert len(yields) == len(items) - len(_bfs_components(items, [(a, b) for _, a, b in triples]))
+    return yields
+
+
+def test_merges_match_a_search_on_tied_keys_and_coincident_points():
+    rng = random.Random(71)
+    for trial in range(60):
+        n = rng.randint(1, 12)
+        inst = MetricInstance.from_coordinates(_points(2, n, rng, grid=trial % 2 == 0))
+        points = inst.points()
+        # (length, -index) order over the MST's edges, keyed on the index
+        mst = minimum_spanning_tree(inst, points)
+        lengths = inst._lengths(mst.edges)
+        order = sorted(range(len(mst.edges)), key=lambda i: (lengths[i], -i))
+        yields = _check_merges(((i, *mst.edges[i]) for i in order), points)
+        assert [key for _, key, _, _ in yields] == order
+        # all pairs, repeats and self-pairs included, on small tied keys
+        pairs = [(rng.randrange(3), rng.choice(points), rng.choice(points)) for _ in range(3 * n)]
+        _check_merges(sorted(pairs), points)
+        _check_merges(pairs, points)
+
+
+def test_merges_match_a_search_on_the_oracles_asymmetric_pairs():
+    from bottleneck_trees.oracle import _pairs, _table
+
+    rng = random.Random(73)
+    for trial in range(60):
+        n = rng.randint(1, 10)
+        low = -2 if trial % 3 == 0 else 0
+        inst = MetricInstance.from_matrix(
+            [[rng.randint(low, 4) for _ in range(n)] for _ in range(n)]
+        )
+        table = _table(inst)
+        pairs = _pairs(table)
+        assert all(d == min(table[u][v], table[v][u]) and u < v for d, u, v in pairs)
+        yields = _check_merges(pairs, range(n))
+        # after the merges at keys up to d: the components of the pairs
+        # within d, read in either direction
+        for d in sorted({d for _, d, _, _ in yields}):
+            within = [
+                (u, v) for u in range(n) for v in range(n) if min(table[u][v], table[v][u]) <= d
+            ]
+            merged = [(u, v) for t, key, _, _ in yields if key <= d for _, u, v in [pairs[t]]]
+            assert _bfs_components(range(n), merged) == _bfs_components(range(n), within)
 
 
 @pytest.mark.parametrize("bad", [-1, 3, 7])
