@@ -69,28 +69,35 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     if count % k != 0:
         raise PartitionError(f"node count {count} is not divisible by k={k}")
 
-    parent = tree.parent_map
-    depth = tree.depth_map
+    parent, depth, order = tree._rooting
     adj = tree.adjacency
-    kids = dict(zip(adj, map(set, adj.values())))
-    for v, p in parent.items():
-        kids[v].discard(p)
+    # One pass over the preorder, children before parents, builds the child
+    # sets, the subtree sizes, the big-child counts and the candidates.
     # size is read only while a node has k or more nodes.  It is exact for
     # candidates; above a node of k or more it may still count the buckets
     # banked in owed[] below, until that node falls under k.
-    size = tree.subtree_sizes()
-    owed = dict.fromkeys(size, 0)
-    big_kids = dict.fromkeys(size, 0)
-    for v, s in size.items():
+    kids: dict[int, set[int]] = {}
+    size = dict.fromkeys(order, 1)
+    big_kids = dict.fromkeys(order, 0)
+    cand: list[tuple[int, int]] = []
+    for v in reversed(order):
+        kids[v] = below = set(adj[v])
+        s = size[v]
         p = parent[v]
-        if s >= k and p is not None:
-            big_kids[p] += 1
-    cand = [(s, v) for v, s in size.items() if s >= k and not big_kids[v]]
+        if p is not None:
+            below.discard(p)
+            size[p] += s
+            if s >= k:
+                big_kids[p] += 1
+        if s >= k and not big_kids[v]:
+            cand.append((s, v))
     heapify(cand)
+    owed = dict.fromkeys(order, 0)
     leaf_heaps: dict[int, list[tuple[int, int]]] = {}
 
     buckets: list[tuple[int, ...]] = []
     reps: list[int] = []
+    bucket_index: dict[int, int] = {}
     while cand:
         _, v = heappop(cand)
         leaf_heap = leaf_heaps.get(v)
@@ -110,6 +117,7 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
         for _ in range(k):
             _, leaf = heappop(leaf_heap)
             bucket.append(leaf)
+            bucket_index[leaf] = len(buckets)
             p = parent[leaf]
             if p is not None:
                 kids[p].remove(leaf)
@@ -140,13 +148,9 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     if len(buckets) * k != count:
         raise AlgorithmInvariantError(f"buckets cover {len(buckets) * k} of {count} nodes")
 
-    bucket_index: dict[int, int] = {}
-    for j, bucket in enumerate(buckets):
-        for p in bucket:
-            bucket_index[p] = j
     parents: list[int | None] = []
     for j, v in enumerate(reps):
-        if v not in buckets[j]:
+        if bucket_index[v] != j:
             parents.append(bucket_index[v])
         else:
             pv = parent[v]
@@ -168,6 +172,12 @@ def forest_from_tree(
     collects the label-c point of each bucket; each non-final bucket's point
     connects to the same label in its parent bucket, and the final bucket
     holds the k roots.
+
+    The trees are trees by construction, so none is checked for structure.
+    Once every bucket holds every label once (checked below), each label's
+    wiring is a copy of the bucket tree, whose parent indices `bucketize`
+    checks to strictly increase towards the one sink: m nodes, m - 1 edges,
+    no cycle.  A labeling or wiring bug raises AlgorithmInvariantError.
     """
     k = tuples.k
     if tree.nodes != frozenset(range(tuples.point_count)):
@@ -176,21 +186,22 @@ def forest_from_tree(
     # The tuples were validated when the partition was built, and bucketize
     # checks that its buckets cover the tree's nodes k at a time.
     lab = _konig_labeling(tuples.tuples, bp.buckets, k)
-    m = len(bp.buckets)
-    slot = [[-1] * k for _ in range(m)]
-    for j, bucket in enumerate(bp.buckets):
+    labels = lab.labels
+    slot = [[-1] * k for _ in bp.buckets]
+    for row, bucket in zip(slot, bp.buckets):
         for p in bucket:
-            slot[j][lab.labels[p]] = p
-    edge_lists: list[list[tuple[int, int]]] = [[] for _ in range(k)]
-    for j in range(m):
-        pj = bp.parent_bucket[j]
-        if pj is None:
-            continue
-        for c in range(k):
-            edge_lists[c].append((slot[j][c], slot[pj][c]))
+            row[labels[p]] = p
+    for j, row in enumerate(slot):
+        if -1 in row:
+            raise AlgorithmInvariantError(f"bucket {j} does not hold every label once")
+    # Column c holds each bucket's label-c point; bucket j's links to the
+    # one in bucket parent_bucket[j], for every bucket but the final one.
+    up = bp.parent_bucket[:-1]
     trees = tuple(
-        Tree._wired((slot[j][c] for j in range(m)), edge_lists[c], slot[m - 1][c], tree)
-        for c in range(k)
+        Tree._from_valid(
+            frozenset(col), tuple(map(_normalize_edge, col, map(col.__getitem__, up))), col[-1]
+        )
+        for col in zip(*slot)
     )
     return Forest(trees), bp, lab
 

@@ -158,26 +158,26 @@ def konig_labeling(a_groups, b_groups, k: int) -> Labeling:
 def _konig_labeling(a, b, k: int) -> Labeling:
     """konig_labeling() on a double partition of size-k groups known to be valid.
 
-    The labels do not depend on the order of points inside a group: the
-    representatives are read through group membership and `min`.
+    The labels do not depend on the order of points inside a group: an
+    a-group's representative is its lowest point in the matched b-group.
+    Each point's b-group is looked up once, and each sorted a-group drops
+    its representative in place.  A perfect, injective matching takes one
+    point from every group of both partitions, so the residual groups stay
+    a double partition of uniform size without being rebuilt.
     """
+    n = len(a)
+    b_of = {p: j for j, g in enumerate(b) for p in g}
+    cur_a = [sorted(g) for g in a]
     labels: dict[int, int] = {}
-    cur_a = [list(g) for g in a]
-    cur_b = [list(g) for g in b]
-    # Each round's residual groups are checked below to keep a uniform size,
-    # so they stay a double partition and need no validation again.
     for label in range(k - 1):
-        reps, _ = _representatives(cur_a, cur_b)
-        rep_set = set(reps)
-        if len(rep_set) != len(reps):
-            raise AlgorithmInvariantError("representatives are not distinct")
-        for p in rep_set:
+        match = _maximum_matching([sorted({b_of[p] for p in g}) for g in cur_a], n)
+        if -1 in match or len(set(match)) != n:
+            raise AlgorithmInvariantError("a round's matching is not perfect")
+        reps = [next(p for p in g if b_of[p] == j) for g, j in zip(cur_a, match)]
+        for g, p in zip(cur_a, reps):
+            g.remove(p)
+        for p in set(reps):  # set order: the dict iterates as it always has
             labels[p] = label
-        cur_a = [[p for p in g if p not in rep_set] for g in cur_a]
-        cur_b = [[p for p in g if p not in rep_set] for g in cur_b]
-        want = k - label - 1
-        if any(len(g) != want for g in cur_a) or any(len(g) != want for g in cur_b):
-            raise AlgorithmInvariantError("residual groups lost uniform size")
     for g in cur_a:
         labels[g[0]] = k - 1
     return Labeling(labels=labels, k=k)

@@ -25,8 +25,10 @@ Validation happens at the boundary, and metric.py's one C-speed id check,
 document, and every node argument (`Tree._check_nodes`) go through it.
 Trees derived from a valid tree (the MST, `rooted_at`, the sides of
 `split_tree_at_edge`) are built by `Tree._from_valid` without checks, and a
-`rooted_at` copy shares its source's adjacency; trees
-wired from new edges (`Tree._wired`) check their structure, not their ids.
+`rooted_at` copy shares its source's adjacency.  Trees
+wired from new edges (`Tree._wired`: GBST's T2 and the PBST pieces) check
+their structure, not their ids; DBST's wired trees are trees by the bucket
+invariant `dbst.forest_from_tree` checks, and use `_from_valid`.
 Distance reads over a tree are one `_check_ids` pass over its nodes.
 
 `_merges` is the package's one union-find: PBST's splits, GBST's T1, the
@@ -130,8 +132,9 @@ class Tree:
         """A tree from fields already known to form one; nothing is checked.
 
         `nodes` is a frozenset of int ids and `edges` holds (min, max) pairs
-        in their final order.  Only for trees derived from a valid tree or
-        spanning tree, whose validity follows from the derivation.
+        in their final order.  Only for trees whose validity follows from
+        their derivation: those derived from a valid tree or spanning tree,
+        and DBST's label trees, which copy its checked bucket tree.
         """
         tree = object.__new__(cls)
         object.__setattr__(tree, "nodes", nodes)
@@ -145,7 +148,9 @@ class Tree:
 
         The ids come from `source`, so their types are not checked again,
         but the structure is: a wiring bug raises DomainError instead of
-        returning something that is not a tree.
+        returning something that is not a tree.  GBST's T2 and the PBST
+        pieces are built here; DBST's trees are not, since their structure
+        follows from the bucket invariant `dbst.forest_from_tree` checks.
         """
         nodes = frozenset(nodes)
         if not nodes <= source.nodes:

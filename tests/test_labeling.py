@@ -5,14 +5,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottleneck_trees import (
+    AlgorithmInvariantError,
     DomainError,
     Labeling,
     PartitionError,
     is_valid_labeling,
     konig_labeling,
     representatives,
+    solve_dbst,
 )
-from bottleneck_trees.labeling import _konig_labeling
+from bottleneck_trees.generators import euclidean_instance, random_metric_instance, random_tuples
+from bottleneck_trees.labeling import _konig_labeling, _representatives
 
 # The worked 12-element example with k=3, n=4 (ids shifted to 0-based):
 EXAMPLE_A = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
@@ -151,3 +154,61 @@ def test_unchecked_core_labels_as_the_public_labeling(k, n, seed):
     got = _konig_labeling(sorted_a, shuffled_b, k)
     assert got.k == want.k == k
     assert list(got.labels.items()) == list(want.labels.items())
+
+
+def _rebuilding_konig_labeling(a, b, k: int) -> Labeling:
+    """The labeling as it was computed before the one-pass version.
+
+    Kept verbatim as a pin: each round rebuilds both residual partitions
+    and checks their sizes.
+    """
+    labels: dict[int, int] = {}
+    cur_a = [list(g) for g in a]
+    cur_b = [list(g) for g in b]
+    # Each round's residual groups are checked below to keep a uniform size,
+    # so they stay a double partition and need no validation again.
+    for label in range(k - 1):
+        reps, _ = _representatives(cur_a, cur_b)
+        rep_set = set(reps)
+        if len(rep_set) != len(reps):
+            raise AlgorithmInvariantError("representatives are not distinct")
+        for p in rep_set:
+            labels[p] = label
+        cur_a = [[p for p in g if p not in rep_set] for g in cur_a]
+        cur_b = [[p for p in g if p not in rep_set] for g in cur_b]
+        want = k - label - 1
+        if any(len(g) != want for g in cur_a) or any(len(g) != want for g in cur_b):
+            raise AlgorithmInvariantError("residual groups lost uniform size")
+    for g in cur_a:
+        labels[g[0]] = k - 1
+    return Labeling(labels=labels, k=k)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_one_pass_labeling_matches_the_rebuilding_one(k):
+    for seed in range(40):
+        rng = random.Random(1000 * k + seed)
+        a, b = _random_double_partition(k * rng.randint(1, 25), k, rng)
+        want = _rebuilding_konig_labeling(a, b, k)
+        got = _konig_labeling(a, b, k)
+        assert list(got.labels.items()) == list(want.labels.items())
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_one_pass_labeling_matches_on_dbst_buckets(k):
+    # The pairs forest_from_tree labels: sorted tuples, and buckets in
+    # extraction order with their points left unsorted.
+    for seed in range(12):
+        rng = random.Random(2000 * k + seed)
+        n = k * rng.randint(2, 30)
+        make = random_metric_instance if seed % 2 else lambda n, rng: euclidean_instance(2, n, rng)
+        inst = make(n, rng)
+        tuples = random_tuples(n, k, rng)
+        result = solve_dbst(inst, tuples)
+        if result.buckets is None:
+            continue
+        buckets = result.buckets.buckets
+        want = _rebuilding_konig_labeling(tuples.tuples, buckets, k)
+        got = _konig_labeling(tuples.tuples, buckets, k)
+        assert list(got.labels.items()) == list(want.labels.items())
+        assert tuple(got.labels[p] for p in inst.points()) == result.labels

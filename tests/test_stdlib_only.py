@@ -2,7 +2,9 @@
 
 Each solver runs in a fresh interpreter started with `-I -S`: no user or
 site directories, no PYTHON* variables, so no installed package can be
-imported, and only `src` is put on `sys.path`.
+imported, and only `src` is put on `sys.path`.  `-I` also ignores
+PYTHONDONTWRITEBYTECODE, so `-B` keeps the run from writing bytecode into
+`src`, where a fresh `__pycache__` would change later import times.
 """
 
 import json
@@ -53,8 +55,9 @@ print(json.dumps({
 
 
 def test_solvers_run_in_an_isolated_interpreter_without_site_packages():
+    cached_before = any(SRC.rglob("__pycache__"))
     done = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", SCRIPT, str(SRC)],
+        [sys.executable, "-B", "-I", "-S", "-c", SCRIPT, str(SRC)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -63,6 +66,8 @@ def test_solvers_run_in_an_isolated_interpreter_without_site_packages():
     assert done.returncode == 0, done.stderr
     got = json.loads(done.stdout)
     assert got["foreign"] == []
+    if not cached_before:
+        assert not any(SRC.rglob("__pycache__"))
 
     rng = random.Random(7)
     inst = euclidean_instance(2, 8, rng)

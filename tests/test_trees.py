@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bottleneck_trees import (
+    AlgorithmInvariantError,
     DomainError,
     Forest,
     IdentifierError,
@@ -945,11 +946,42 @@ def test_derived_trees_reject_bool_ids():
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_dbst_checks_only_its_k_wired_trees(structure_checks, k):
+    # Not even those: forest_from_tree's bucket invariant guards DBST's k
+    # wired trees, so no structure check runs at all.
     rng = random.Random(20 + k)
     inst = euclidean_instance(2, 240, rng)
     result = solve_dbst(inst, random_tuples(240, k, rng))
     assert not result.shortcut
-    assert structure_checks == [t.nodes for t in result.forest.trees]
+    assert structure_checks == []
+
+
+def test_dbst_repeated_label_in_a_bucket_raises(monkeypatch):
+    import bottleneck_trees.dbst as dbst
+
+    label = dbst._konig_labeling
+
+    def repeated(a, b, k):
+        lab = label(a, b, k)
+        first, second = b[0][:2]
+        lab.labels[second] = lab.labels[first]
+        return lab
+
+    monkeypatch.setattr(dbst, "_konig_labeling", repeated)
+    rng = random.Random(4)
+    tree = random_tree(12, rng)
+    with pytest.raises(AlgorithmInvariantError, match="bucket 0"):
+        dbst.forest_from_tree(tree.rooted_at(min(tree.leaves())), random_tuples(12, 2, rng))
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_dbst_trees_pass_the_public_constructor(k):
+    for seed in range(6):
+        rng = random.Random(100 * k + seed)
+        n = k * rng.randint(1, 30)
+        inst = euclidean_instance(2, n, rng)
+        result = solve_dbst(inst, random_tuples(n, k, rng))
+        for t in result.forest.trees:
+            assert Tree(t.nodes, t.edges, t.root) == t
 
 
 def test_dbst_shortcut_checks_nothing(structure_checks):
