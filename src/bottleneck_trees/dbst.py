@@ -1,12 +1,12 @@
 """k disjoint bottleneck spanning trees over points partitioned into k-tuples.
 
-The driver computes a minimum spanning tree, carves its nodes into buckets of
-size k with small internal hop diameter, labels points so that every tuple
-and every bucket carries each of the k labels once, and wires same-label
-points bucket-to-parent-bucket.  Every realized edge then spans at most
-3k-2 tree hops, which bounds its length by (3k-2) times the tree bottleneck.
-For k=2 an optimal shortcut applies when some longest-edge split of the tree
-separates every tuple.
+The driver cuts a minimum spanning tree, while it can, at a longest edge
+whose two sides hold the same number of points of every tuple.  A piece with
+one point of every tuple is a tree of the answer.  A piece with j >= 2 is
+carved into buckets of j nodes with small hop diameter, labelled so that
+every tuple and bucket carries each of the j labels once, and wired
+same-label bucket-to-parent-bucket.  Every realized edge spans at most 3j-2
+hops of a piece with no edge longer than the optimum, so 3k-2 bounds it.
 """
 
 from __future__ import annotations
@@ -72,12 +72,12 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     parent, depth, order = tree._rooting
     adj = tree.adjacency
     # One pass over the preorder, children before parents, builds the child
-    # sets, the subtree sizes, the big-child counts and the candidates.
-    # size is read only while a node has k or more nodes.  It is exact for
-    # candidates; above a node of k or more it may still count the buckets
-    # banked in owed[] below, until that node falls under k.
+    # sets, the big-child counts and the candidates from the tree's cached
+    # subtree sizes.  size is read only while a node has k or more nodes.
+    # It is exact for candidates; above a node of k or more it may still
+    # count the buckets banked in owed[] below, until that node falls under k.
     kids: dict[int, set[int]] = {}
-    size = dict.fromkeys(order, 1)
+    size = dict(tree._spans[0])
     big_kids = dict.fromkeys(order, 0)
     cand: list[tuple[int, int]] = []
     for v in reversed(order):
@@ -86,7 +86,6 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
         p = parent[v]
         if p is not None:
             below.discard(p)
-            size[p] += s
             if s >= k:
                 big_kids[p] += 1
         if s >= k and not big_kids[v]:
@@ -172,6 +171,15 @@ def forest_from_tree(
     collects the label-c point of each bucket; each non-final bucket's point
     connects to the same label in its parent bucket, and the final bucket
     holds the k roots.
+    """
+    if tree.nodes != frozenset(range(tuples.point_count)):
+        raise PartitionError("tree nodes must be exactly the tuple partition's points")
+    trees, bp, lab = _wire(tree, tuples.tuples, tuples.k)
+    return Forest(trees), bp, lab
+
+
+def _wire(tree: Tree, groups, k: int) -> tuple[tuple[Tree, ...], BucketPartition, Labeling]:
+    """forest_from_tree's core, for valid k-point groups over the tree's nodes.
 
     The trees are trees by construction, so none is checked for structure.
     Once every bucket holds every label once (checked below), each label's
@@ -179,13 +187,10 @@ def forest_from_tree(
     checks to strictly increase towards the one sink: m nodes, m - 1 edges,
     no cycle.  A labeling or wiring bug raises AlgorithmInvariantError.
     """
-    k = tuples.k
-    if tree.nodes != frozenset(range(tuples.point_count)):
-        raise PartitionError("tree nodes must be exactly the tuple partition's points")
     bp = bucketize(tree, k)
-    # The tuples were validated when the partition was built, and bucketize
+    # The groups were validated when the partition was built, and bucketize
     # checks that its buckets cover the tree's nodes k at a time.
-    lab = _konig_labeling(tuples.tuples, bp.buckets, k)
+    lab = _konig_labeling(groups, bp.buckets, k)
     labels = lab.labels
     slot = [[-1] * k for _ in bp.buckets]
     for row, bucket in zip(slot, bp.buckets):
@@ -203,11 +208,30 @@ def forest_from_tree(
         )
         for col in zip(*slot)
     )
-    return Forest(trees), bp, lab
+    return trees, bp, lab
+
+
+def _balanced_cut(tree: Tree, length: dict, groups) -> tuple[int, int] | None:
+    """The first longest edge, in edge order, whose sides hold equally many
+    points of every group (a tuple cut down to the tree), else None.  Only
+    edges whose lower subtree holds a multiple of len(groups) are tallied."""
+    parent, size = tree._rooting[0], tree._spans[0]
+    top, m = max(map(length.__getitem__, tree.edges)), len(groups)
+    for u, v in tree.edges:
+        low = u if parent[u] == v else v
+        if length[u, v] == top and size[low] % m == 0:
+            below = set(tree._below(low))
+            if all(len(below.intersection(g)) == size[low] // m for g in groups):
+                return u, v
+    return None
 
 
 @dataclass(frozen=True)
 class DbstResult:
+    """The k trees; `labels[p]` is the index of point p's tree in `forest.trees`.
+    `shortcut` says whether the MST was cut; `buckets` is the whole MST's
+    bucket partition if it was not, else None."""
+
     forest: Forest
     bottleneck: float
     mst: Tree
@@ -218,49 +242,49 @@ class DbstResult:
 
 
 def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
-    """k node-disjoint trees, one point of every tuple each.
+    """k node-disjoint trees, one point of every tuple each, within 3k-2 of the optimum.
 
-    For k=2 the achieved bottleneck is at most 4 times the optimum, and if
-    removing a longest tree edge leaves every tuple with one point per side,
-    the two sides themselves are returned (and are optimal).  For k >= 3 the
-    3k-2 bound fails: MST edges between separated groups of whole tuples are
-    bucketed too (199.0 against an optimum of 1.0 on the points 0, 100,
-    200, 1, 101, 201 with tuples (0, 1, 2) and (3, 4, 5)).
+    The leaf-rooted MST is cut at its first longest edge, in edge order, whose
+    sides hold the same number j >= 1 of points of every tuple; each side is
+    cut the same way, u-side first.  An MST edge longer than the optimum
+    joins unions of whole optimal trees, so it is such an edge.  A piece with
+    j = 1 is a tree of the answer; one with j >= 2 is bucketed and wired into
+    j trees.  For k = 2 only a half-size side balances, and that cut is optimal.
     """
-    k = tuples.k
     if instance.point_count != tuples.point_count:
         raise PartitionError(
             f"instance has {instance.point_count} points but the tuples cover "
             f"{tuples.point_count}"
         )
     mst = minimum_spanning_tree(instance, instance.points())
-    mst_bot = max(instance._lengths(mst.edges))
-
-    rooted = _leaf_rooted(mst)
-    forest = bp = None
-    if k == 2:
-        # A side with one point of every pair holds half the points.  Only
-        # the edge above a half-size subtree cuts off such a side, and a tree
-        # has at most one: two would leave an empty part between them.
-        size = rooted._spans[0]
-        cut = [_normalize_edge(v, rooted.parent_map[v]) for v in size if 2 * size[v] == len(size)]
-        if cut and instance._lengths(cut) == [mst_bot]:
-            side_u, side_v = split_tree_at_edge(rooted, cut[0])
-            if all(len(side_u.nodes & set(t)) == 1 for t in tuples.tuples):
-                forest = Forest((side_u, side_v))
-                labels = tuple(0 if p in side_u.nodes else 1 for p in instance.points())
-    if forest is None:
-        forest, bp, lab = forest_from_tree(rooted, tuples)
-        labels = tuple(lab.labels[p] for p in instance.points())
+    length = dict(zip(mst.edges, instance._lengths(mst.edges)))
+    trees: list[Tree] = []
+    shortcut, bp = False, None
+    todo = [(mst, tuples.tuples)]  # pieces and their tuples' points; u-sides pop first
+    while todo:
+        piece, groups = todo.pop()
+        if len(groups[0]) == 1:
+            trees.append(piece)
+            continue
+        piece = _leaf_rooted(piece)
+        cut = _balanced_cut(piece, length, groups)
+        if cut is None:
+            wired, bp, _ = _wire(piece, groups, len(groups[0]))
+            trees += wired
+            continue
+        shortcut = True
+        for side in split_tree_at_edge(piece, cut)[::-1]:
+            todo.append((side, tuple(tuple(p for p in g if p in side.nodes) for g in groups)))
+    label = {p: c for c, t in enumerate(trees) for p in t.nodes}
     # Every tree holds one point of each tuple, so all or none have edges,
     # and the largest of all their lengths is forest_bottleneck's answer.
-    edges = chain.from_iterable(t.edges for t in forest.trees)
+    edges = chain.from_iterable(t.edges for t in trees)
     return DbstResult(
-        forest=forest,
+        forest=Forest(tuple(trees)),
         bottleneck=max(instance._lengths(edges), default=0.0),
         mst=mst,
-        mst_bottleneck=mst_bot,
-        labels=labels,
-        shortcut=bp is None,
-        buckets=bp,
+        mst_bottleneck=max(length.values()),
+        labels=tuple(map(label.__getitem__, instance.points())),
+        shortcut=shortcut,
+        buckets=None if shortcut else bp,
     )

@@ -15,6 +15,7 @@ pairs through `trees._merges`, the package's one union-find.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cache
 from itertools import permutations, product
 from math import factorial, inf
 
@@ -44,14 +45,10 @@ def exact_dbst(
         raise OracleSizeError(f"exact_dbst is capped at k<=3, n<=6 (got k={k}, n={n})")
     if instance.point_count != tuples.point_count:
         raise PartitionError("tuples do not cover exactly the instance's points")
-    thresholds: dict[tuple[int, ...], float] = {}
 
-    def threshold(group: list[int]) -> float:
-        key = tuple(sorted(group))
-        value = thresholds.get(key)
-        if value is None:
-            value = thresholds[key] = _threshold(instance, list(key))
-        return value
+    @cache
+    def threshold(group: tuple[int, ...]) -> float:
+        return _threshold(instance, list(group))
 
     identity = tuple(range(k))
     best_value: float | None = None
@@ -62,7 +59,7 @@ def exact_dbst(
         for members, perm in zip(tuples.tuples, assignment):
             for pos, tree_idx in enumerate(perm):
                 groups[tree_idx].append(members[pos])
-        value = max(threshold(g) for g in groups)
+        value = max(threshold(tuple(sorted(g))) for g in groups)
         if best_value is None or value < best_value:
             best_value, best_groups = value, groups
     assert best_groups is not None and best_value is not None
@@ -202,15 +199,10 @@ def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
                 return False
             if not reachable_enough(group, banned):
                 return False
-            candidates_here = sorted(
-                y
-                for x in group
-                for y in adj[x]
-                if y in unassigned and y not in banned and y not in group
-            )
-            if not candidates_here:
+            free = unassigned - banned - set(group)
+            pick = min((y for x in group for y in adj[x] if y in free), default=None)
+            if pick is None:
                 return False
-            pick = candidates_here[0]
             if grow(group + [pick], banned):
                 return True
             return grow(group, banned | {pick})

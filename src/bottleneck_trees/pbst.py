@@ -294,8 +294,8 @@ class PbstResult:
     mst_bottleneck: float
 
 
-def _solve_subset(mst: Tree, lengths: list[float], k: int, n: int) -> list[Tree]:
-    """k trees of n points each from `mst`, whose edges have `lengths`.
+def _solve_subset(mst: Tree, lengths: list[float], n: int) -> list[Tree]:
+    """Trees of n points each from `mst`, whose edges have `lengths`.
 
     One sweep of `trees._merges` over the MST's edges in (length, -index)
     order builds its single-linkage merge tree: each edge merges the last merges
@@ -317,11 +317,8 @@ def _solve_subset(mst: Tree, lengths: list[float], k: int, n: int) -> list[Tree]
         merges[i] = (last.get(ru), last.get(rv), clean)
         size[ru] += size[rv]
         last[ru] = i
-    top = order[-1]  # the last merge spans every point
-    if not merges[top][2]:
-        return list(balanced_partition(_leaf_rooted(mst), k).trees)
     trees: list[Tree] = []
-    stack = [top]
+    stack = [order[-1]]  # the last merge spans every point
     while stack:
         m = stack.pop()
         side_u, side_v, clean = merges[m]
@@ -331,8 +328,9 @@ def _solve_subset(mst: Tree, lengths: list[float], k: int, n: int) -> list[Tree]
         inside, todo = [], [m]
         while todo:
             j = todo.pop()
-            inside.append(j)
-            todo += (c for c in merges[j][:2] if c is not None)
+            if j is not None:  # a single point has no merge
+                inside.append(j)
+                todo += merges[j][:2]
         inside.sort()
         tree = Tree._from_valid(
             frozenset(chain.from_iterable(edges[j] for j in inside)),
@@ -365,7 +363,7 @@ def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
         )
     mst = minimum_spanning_tree(instance, instance.points())
     lengths = instance._lengths(mst.edges)
-    forest = Forest(tuple(_solve_subset(mst, lengths, k, n)))
+    forest = Forest(tuple(_solve_subset(mst, lengths, n)))
     edges = chain.from_iterable(t.edges for t in forest.trees)  # n >= 3: none is empty
     return PbstResult(
         forest=forest,

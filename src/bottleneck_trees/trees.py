@@ -28,7 +28,7 @@ Trees derived from a valid tree (the MST, `rooted_at`, the sides of
 `rooted_at` copy shares its source's adjacency.  Trees
 wired from new edges (`Tree._wired`: GBST's T2 and the PBST pieces) check
 their structure, not their ids; DBST's wired trees are trees by the bucket
-invariant `dbst.forest_from_tree` checks, and use `_from_valid`.
+invariant `dbst._wire` checks, and use `_from_valid`.
 Distance reads over a tree are one `_check_ids` pass over its nodes.
 
 `_merges` is the package's one union-find: PBST's splits, GBST's T1, the
@@ -150,7 +150,7 @@ class Tree:
         but the structure is: a wiring bug raises DomainError instead of
         returning something that is not a tree.  GBST's T2 and the PBST
         pieces are built here; DBST's trees are not, since their structure
-        follows from the bucket invariant `dbst.forest_from_tree` checks.
+        follows from the bucket invariant `dbst._wire` checks.
         """
         nodes = frozenset(nodes)
         if not nodes <= source.nodes:

@@ -8,11 +8,13 @@ import functools
 import random
 from itertools import combinations, product
 
+import bottleneck_trees.dbst as dbst
 from bottleneck_trees import (
     Forest,
     Labeling,
     MetricInstance,
     Tree,
+    TuplePartition,
     bottleneck,
     bucketize,
     build_t2,
@@ -86,22 +88,58 @@ def _instance(kind, n, rng):
     return random_metric_instance(n, rng)
 
 
-@criterion(1, "k-DBST achieved/optimal <= 3k-2 over seeded random instances")
-def test_criterion_1_dbst_ratio():
+def _clustered_tuples(k, n, rng):
+    """n k-tuples over 2 or 3 unit-square clusters 100 apart.
+
+    Each cluster holds the same number of points of every tuple, so the
+    optimal trees lie inside the clusters and the MST edges between them are
+    far longer than the optimum.
+    """
+    cuts = sorted(rng.sample(range(1, k), rng.randint(1, min(2, k - 1))))
+    slots = [c for c, (a, b) in enumerate(zip([0, *cuts], [*cuts, k])) for _ in range(b - a)]
+    ids = rng.sample(range(k * n), k * n)
+    groups = [ids[i : i + k] for i in range(0, k * n, k)]
+    coords = [None] * (k * n)
+    for members in groups:
+        for p, c in zip(members, rng.sample(slots, k)):
+            coords[p] = (100.0 * c + rng.random(), rng.random())
+    return MetricInstance.from_coordinates(coords), TuplePartition(k, groups)
+
+
+@criterion(1, "k-DBST achieved/optimal <= 3k-2 over seeded random and clustered instances")
+def test_criterion_1_dbst_ratio(monkeypatch):
+    # Every piece the split leaves with j >= 2 points of every tuple is
+    # bucketed through dbst._wire; none may have an MST edge above OPT.
+    wired = []
+    wire = dbst._wire
+
+    def recorded(tree, groups, j):
+        wired.append(tree)
+        return wire(tree, groups, j)
+
+    monkeypatch.setattr(dbst, "_wire", recorded)
     configs = [(2, n, kind) for n in range(2, 7) for kind in ("euclidean", "random-metric")]
     configs += [(3, n, kind) for n in range(2, 5) for kind in ("euclidean", "random-metric")]
+    configs += [(3, n, "clustered") for n in range(2, 5)]
+    offset = {"euclidean": 0, "random-metric": 50_000_017, "clustered": 70_000_027}
     for k, n, kind in configs:
         factor = 3 * k - 2
-        base = (k * 100 + n) * 100_003 + (0 if kind == "euclidean" else 50_000_017)
+        base = (k * 100 + n) * 100_003 + offset[kind]
         for seed in range(1000):
             rng = random.Random(base + seed)
-            inst = _instance(kind, k * n, rng)
-            tuples = random_tuples(k * n, k, rng)
+            if kind == "clustered":
+                inst, tuples = _clustered_tuples(k, n, rng)
+            else:
+                inst = _instance(kind, k * n, rng)
+                tuples = random_tuples(k * n, k, rng)
+            wired.clear()
             result = solve_dbst(inst, tuples)
             _, optimal = exact_dbst(inst, tuples)
             assert _bounded(result.bottleneck, factor, optimal), (k, n, kind, seed)
             if k == 2 and not result.shortcut:
                 assert result.mst_bottleneck <= optimal + TOL, (n, kind, seed)
+            for piece in wired:
+                assert bottleneck(piece, inst) <= optimal + TOL, (k, n, kind, seed)
 
 
 @criterion(2, "k-DBST hop and bucket-diameter invariants; spiders attain 2k-2")

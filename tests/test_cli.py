@@ -34,6 +34,22 @@ def test_dbst_end_to_end(tmp_path, capsys):
     assert len(doc["trees"]) == 2
 
 
+def test_dbst_separated_line_k3_is_optimal(tmp_path, capsys):
+    # Three clusters 100 apart, each holding one point of both tuples: the
+    # MST is cut between the clusters and each cluster's pair is a tree.
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps({
+        "k": 3,
+        "points": {"coordinates": [[0.0], [100.0], [200.0], [1.0], [101.0], [201.0]]},
+        "tuples": [[0, 1, 2], [3, 4, 5]],
+    }))
+    code, out, _ = _run(capsys, "dbst", "--input", str(inst), "--exact")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["bottleneck"], doc["optimal"], doc["ratio"]) == (1.0, 1.0, 1.0)
+    assert doc["labels"] == [2, 1, 0, 2, 1, 0]
+
+
 def test_gbst_end_to_end(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert main(["gen", "--kind", "euclidean", "--n", "9", "--partition", "clusters",

@@ -1,5 +1,6 @@
 import heapq
 import random
+from functools import cached_property
 from itertools import permutations, product
 
 import pytest
@@ -377,6 +378,34 @@ def test_shortcut_splits_the_mst_at_most_once(monkeypatch):
     assert result.shortcut and calls == [(n - 1, n)]
 
 
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_solve_counts_subtree_sizes_once(monkeypatch, k):
+    # When the MST is not cut, the balance search and bucketize read one
+    # cached count of the rooted MST's subtree sizes.
+    counted = []
+    spans = Tree._spans.func
+
+    def counting(tree):
+        counted.append(tree)
+        return spans(tree)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Tree, "_spans")
+    monkeypatch.setattr(Tree, "_spans", prop)
+    rng = random.Random(70 + k)
+    uncut = 0
+    for _ in range(30):
+        n = k * rng.randint(2, 12)
+        inst = random_metric_instance(n, rng)
+        counted.clear()
+        result = solve_dbst(inst, random_tuples(n, k, rng))
+        if not result.shortcut:
+            uncut += 1
+            assert len(counted) == 1
+            assert counted[0].nodes == result.mst.nodes
+    assert uncut >= 10
+
+
 def test_solve_ratio_k3_against_oracle():
     rng = random.Random(33)
     for trial in range(60):
@@ -437,11 +466,6 @@ def test_separated_line_optimum_is_one(k):
         assert exact_dbst(inst, tuples)[1] == 1.0
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the 3k-2 bound fails for k >= 3: the whole MST is bucketed, "
-    "its edges between the separated groups included (199.0 for k = 3, 201.0 for k = 4)",
-)
 @pytest.mark.parametrize("k", [3, 4])
 def test_separated_line_within_3k_minus_2(k):
     inst, tuples = _separated_line(k)
