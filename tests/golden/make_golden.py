@@ -101,6 +101,16 @@ def _gapped_clusters(clusters: int, size: int, seed: int):
     return write
 
 
+def _line(xs: list[float], tuples: list[list[int]]):
+    """Points at the positions `xs` of a line, split into the given tuples."""
+
+    def write(path: Path) -> int:
+        doc = {"points": {"coordinates": [[x] for x in xs]}, "tuples": tuples, "k": len(tuples[0])}
+        return _write_document(doc, path)
+
+    return write
+
+
 # name -> writer of the instance document at the given path.
 INSTANCES_SPEC = {
     "euclid2d-tuples2": _gen("--kind", "euclidean", "--n", "240", "--dim", "2",
@@ -138,6 +148,16 @@ INSTANCES_SPEC = {
                                  "--partition", "clusters", "--seed", "63"),
     "fixture-gbst-path8": _gen("--kind", "fixture-gbst-path8"),
     "gapped-clusters5x3": _gapped_clusters(5, 3, 71),
+    # DBST cuts these MSTs.  Each line's earliest longest edge cuts off the
+    # one point 0, so DBST must pass it over for a later, balanced one.
+    "line-tuples3-cut": _line([35, 25, 24, 0, 1, 2, 12, 13, 14],
+                              [[0, 3, 6], [1, 4, 7], [2, 5, 8]]),
+    "line-tuples4-cut": _line([47, 37, 36, 0, 1, 2, 12, 13, 14, 24, 25, 26],
+                              [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]),
+    "line-tuples2-cut": _line([0, 10, 11, 12, 22, 23, 24, 25],
+                              [[0, 4], [1, 5], [2, 6], [3, 7]]),
+    # With one tuple every MST edge is balanced: DBST cuts to single points.
+    "line-one-tuple3": _line([2, 0, 4], [[2, 0, 1]]),
 }
 
 # One sweep over every problem; `exact` is true, false and absent.
@@ -180,6 +200,9 @@ def solver_runs(doc: dict) -> list[tuple[str, list[str]]]:
         if count % k == 0 and count // k >= 3:
             problems.append((f"pbst-k{k}", ["pbst", "--k", str(k)]))
     runs = [(suffix, [*argv, *tail]) for suffix, argv in problems]
+    if 0 < len(doc.get("tuples") or ()) < 3:
+        # DBST's trees hold one point of every tuple, too few for a tour.
+        runs[0] = ("dbst", [a for a in runs[0][1] if a != "--tours"])
     if small:
         runs += [(f"oracle-{suffix}", ["oracle", *argv]) for suffix, argv in problems]
         runs.append(("oracle-tour", ["oracle", "tour"]))
