@@ -1,12 +1,17 @@
 """k disjoint bottleneck spanning trees over points partitioned into k-tuples.
 
 The driver cuts a minimum spanning tree, while it can, at a longest edge
-whose two sides hold the same number of points of every tuple.  A piece with
-one point of every tuple is a tree of the answer.  A piece with j >= 2 is
-carved into buckets of j nodes with small hop diameter, labelled so that
-every tuple and bucket carries each of the j labels once, and wired
-same-label bucket-to-parent-bucket.  Every realized edge spans at most 3j-2
-hops of a piece with no edge longer than the optimum, so 3k-2 bounds it.
+whose two sides hold the same number of points of every tuple.  Balance is
+per edge: every piece cut off holds the same number of points of every
+tuple, so an edge is balanced in its piece exactly when it is balanced in
+the whole tree.  Each piece's first balanced longest edge, in edge order,
+is its last edge in (length, balanced, -index) order, so the cuts are one
+`trees._pieces` sweep in that order.  A piece with one point of every
+tuple is a tree of the answer.  A piece with j >= 2 is carved into buckets
+of j nodes with small hop diameter, labelled so that every tuple and
+bucket carries each of the j labels once, and wired same-label
+bucket-to-parent-bucket.  Every realized edge spans at most 3j-2 hops of a
+piece with no edge longer than the optimum, so 3k-2 bounds it.
 """
 
 from __future__ import annotations
@@ -18,14 +23,7 @@ from itertools import chain
 from .errors import AlgorithmInvariantError, DomainError, PartitionError
 from .labeling import Labeling, _konig_labeling
 from .metric import MetricInstance, TuplePartition, _is_int
-from .trees import (
-    Forest,
-    Tree,
-    _leaf_rooted,
-    _normalize_edge,
-    minimum_spanning_tree,
-    split_tree_at_edge,
-)
+from .trees import Forest, Tree, _leaf_rooted, _normalize_edge, _pieces, minimum_spanning_tree
 
 
 @dataclass(frozen=True)
@@ -211,21 +209,6 @@ def _wire(tree: Tree, groups, k: int) -> tuple[tuple[Tree, ...], BucketPartition
     return trees, bp, lab
 
 
-def _balanced_cut(tree: Tree, length: dict, groups) -> tuple[int, int] | None:
-    """The first longest edge, in edge order, whose sides hold equally many
-    points of every group (a tuple cut down to the tree), else None.  Only
-    edges whose lower subtree holds a multiple of len(groups) are tallied."""
-    parent, size = tree._rooting[0], tree._spans[0]
-    top, m = max(map(length.__getitem__, tree.edges)), len(groups)
-    for u, v in tree.edges:
-        low = u if parent[u] == v else v
-        if length[u, v] == top and size[low] % m == 0:
-            below = set(tree._below(low))
-            if all(len(below.intersection(g)) == size[low] // m for g in groups):
-                return u, v
-    return None
-
-
 @dataclass(frozen=True)
 class DbstResult:
     """The k trees; `labels[p]` is the index of point p's tree in `forest.trees`.
@@ -246,10 +229,12 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
 
     The leaf-rooted MST is cut at its first longest edge, in edge order, whose
     sides hold the same number j >= 1 of points of every tuple; each side is
-    cut the same way, u-side first.  An MST edge longer than the optimum
-    joins unions of whole optimal trees, so it is such an edge.  A piece with
-    j = 1 is a tree of the answer; one with j >= 2 is bucketed and wired into
-    j trees.  For k = 2 only a half-size side balances, and that cut is optimal.
+    cut the same way, u-side first.  Each edge's balance is read once, from
+    the whole MST, and `trees._pieces` makes every cut.  An MST edge longer
+    than the optimum joins unions of whole optimal trees, so it is such an
+    edge.  A piece with j = 1 is a tree of the answer; one with j >= 2 is
+    bucketed and wired into j trees.  For k = 2 only a half-size side
+    balances, and that cut is optimal.
     """
     if instance.point_count != tuples.point_count:
         raise PartitionError(
@@ -257,24 +242,30 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
             f"{tuples.point_count}"
         )
     mst = minimum_spanning_tree(instance, instance.points())
-    length = dict(zip(mst.edges, instance._lengths(mst.edges)))
+    rooted = _leaf_rooted(mst)
+    length = instance._lengths(mst.edges)
+    groups, m = tuples.tuples, tuples.group_count
+    size = rooted._spans[0]
+
+    def is_balanced(u: int, v: int) -> bool:  # the lower end has the smaller subtree
+        low = u if size[u] < size[v] else v
+        c, r = divmod(size[low], m)
+        below = () if r else set(rooted._below(low))
+        return not r and all(len(below.intersection(g)) == c for g in groups)
+
+    balanced = [is_balanced(u, v) for u, v in mst.edges]
+    pieces = _pieces(rooted, lambda i: (length[i], balanced[i], -i), balanced.__getitem__)
+    cut = len(pieces) > 1
     trees: list[Tree] = []
-    shortcut, bp = False, None
-    todo = [(mst, tuples.tuples)]  # pieces and their tuples' points; u-sides pop first
-    while todo:
-        piece, groups = todo.pop()
-        if len(groups[0]) == 1:
+    bp = None
+    for piece in pieces:
+        j = len(piece.nodes) // m
+        if j == 1:
             trees.append(piece)
-            continue
-        piece = _leaf_rooted(piece)
-        cut = _balanced_cut(piece, length, groups)
-        if cut is None:
-            wired, bp, _ = _wire(piece, groups, len(groups[0]))
+        else:
+            part = tuple(tuple(p for p in g if p in piece.nodes) for g in groups) if cut else groups
+            wired, bp, _ = _wire(_leaf_rooted(piece), part, j)
             trees += wired
-            continue
-        shortcut = True
-        for side in split_tree_at_edge(piece, cut)[::-1]:
-            todo.append((side, tuple(tuple(p for p in g if p in side.nodes) for g in groups)))
     label = {p: c for c, t in enumerate(trees) for p in t.nodes}
     # Every tree holds one point of each tuple, so all or none have edges,
     # and the largest of all their lengths is forest_bottleneck's answer.
@@ -283,8 +274,8 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
         forest=Forest(tuple(trees)),
         bottleneck=max(instance._lengths(edges), default=0.0),
         mst=mst,
-        mst_bottleneck=max(length.values()),
+        mst_bottleneck=max(length),
         labels=tuple(map(label.__getitem__, instance.points())),
-        shortcut=shortcut,
-        buckets=None if shortcut else bp,
+        shortcut=cut,
+        buckets=None if cut else bp,
     )

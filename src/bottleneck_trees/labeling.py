@@ -124,20 +124,20 @@ def representatives(a_groups, b_groups) -> tuple[list[int], list[int]]:
 
 def _representatives(a, b) -> tuple[list[int], list[int]]:
     """representatives() on groups already known to form a double partition."""
+    return _round(a, {p: j for j, g in enumerate(b) for p in g})
+
+
+def _round(a, b_of: dict[int, int]) -> tuple[list[int], list[int]]:
+    """One system of representatives: (reps, pi) as representatives() gives them.
+
+    `b_of` maps each point to its b-group.  The a-groups are matched to the
+    b-groups they meet, and each takes its lowest point in its match.
+    """
     n = len(a)
-    b_index: dict[int, int] = {}
-    for j, g in enumerate(b):
-        for p in g:
-            b_index[p] = j
-    adj = [sorted({b_index[p] for p in g}) for g in a]
-    match = _maximum_matching(adj, n)
-    if any(m == -1 for m in match):
-        raise AlgorithmInvariantError(
-            "no perfect matching between the group families; "
-            "the double-partition validation must have let something through"
-        )
-    reps = [min(p for p in a[i] if b_index[p] == match[i]) for i in range(n)]
-    return reps, list(match)
+    match = _maximum_matching([sorted({b_of[p] for p in g}) for g in a], n)
+    if -1 in match or len(set(match)) != n:
+        raise AlgorithmInvariantError("no perfect matching between the group families")
+    return [min(p for p in g if b_of[p] == j) for g, j in zip(a, match)], match
 
 
 def konig_labeling(a_groups, b_groups, k: int) -> Labeling:
@@ -165,15 +165,11 @@ def _konig_labeling(a, b, k: int) -> Labeling:
     point from every group of both partitions, so the residual groups stay
     a double partition of uniform size without being rebuilt.
     """
-    n = len(a)
     b_of = {p: j for j, g in enumerate(b) for p in g}
     cur_a = [sorted(g) for g in a]
     labels: dict[int, int] = {}
     for label in range(k - 1):
-        match = _maximum_matching([sorted({b_of[p] for p in g}) for g in cur_a], n)
-        if -1 in match or len(set(match)) != n:
-            raise AlgorithmInvariantError("a round's matching is not perfect")
-        reps = [next(p for p in g if b_of[p] == j) for g, j in zip(cur_a, match)]
+        reps, _ = _round(cur_a, b_of)
         for g, p in zip(cur_a, reps):
             g.remove(p)
         for p in set(reps):  # set order: the dict iterates as it always has

@@ -5,9 +5,12 @@ into k disjoint trees of exactly n nodes whose edges span at most 2 hops in
 the source tree for k in {2, 3} and at most 3 hops for k >= 4 (both bounds
 are tight).  The metric solver builds one minimum spanning tree per solve and
 first cuts it at longest edges whose sides both hold multiples of n points;
-each side of such a cut is the MST of its own points.  One sweep of
-`trees._merges`, the package's one union-find, over the MST's edges decides
-every cut, and the partitions then run on the components left whole.
+each side of such a cut is the MST of its own points.  `trees._pieces`, the
+cutter DBST shares, decides every cut in one sweep over the MST's edges in
+(length, -index) order.  The count is per edge: every piece cut off holds a
+multiple of n points, so an edge's lower subtree in the whole MST holds a
+multiple of n exactly when its sides in its piece do.  The partitions then
+run on the components left whole.
 """
 
 from __future__ import annotations
@@ -21,25 +24,13 @@ from .metric import MetricInstance, _is_int
 from .trees import (
     Forest,
     Tree,
+    _cut,
+    _edges_within,
     _leaf_rooted,
-    _merges,
+    _pieces,
     cube_hamiltonian_path_between,
     minimum_spanning_tree,
 )
-
-
-def _edges_within(edges, nodes) -> tuple[tuple[int, int], ...]:
-    return tuple(e for e in edges if e[0] in nodes and e[1] in nodes)
-
-
-def _cut(t: Tree, v: int) -> tuple[Tree, Tree]:
-    """The subtree of t at v, rooted at v, and the rest of t."""
-    below = frozenset(t._below(v))
-    rest = t.nodes - below
-    return (
-        Tree._from_valid(below, _edges_within(t.edges, below), v),
-        Tree._from_valid(rest, _edges_within(t.edges, rest), t.root),
-    )
 
 
 def _branches(t: Tree, x: int) -> list[tuple[int, set[int], tuple[tuple[int, int], ...]]]:
@@ -294,55 +285,6 @@ class PbstResult:
     mst_bottleneck: float
 
 
-def _solve_subset(mst: Tree, lengths: list[float], n: int) -> list[Tree]:
-    """Trees of n points each from `mst`, whose edges have `lengths`.
-
-    One sweep of `trees._merges` over the MST's edges in (length, -index)
-    order builds its single-linkage merge tree: each edge merges the last merges
-    of its u- and v-side components, so a component's last merge is its
-    longest edge, the earliest among ties.  A merge is clean when both
-    sides hold multiples of n points.  Walking down from the last merge on
-    an explicit stack, u-side first, splits every clean merge; any other
-    merge keeps its component whole, which is the MST of its own points
-    (edges in MST order).  A kept component of n points is a group as it
-    is; a larger one goes to the balanced partition.
-    """
-    edges = mst.edges
-    last: dict[int, int] = {}  # component root -> index of its last merge
-    size = dict.fromkeys(mst.nodes, 1)  # component root -> points
-    merges: dict[int, tuple[int | None, int | None, bool]] = {}
-    order = sorted(range(len(edges)), key=lambda i: (lengths[i], -i))
-    for i, ru, rv in _merges(((i, *edges[i]) for i in order), mst.nodes):
-        clean = size[ru] % n == 0 and size[rv] % n == 0
-        merges[i] = (last.get(ru), last.get(rv), clean)
-        size[ru] += size[rv]
-        last[ru] = i
-    trees: list[Tree] = []
-    stack = [order[-1]]  # the last merge spans every point
-    while stack:
-        m = stack.pop()
-        side_u, side_v, clean = merges[m]
-        if clean:
-            stack += (side_v, side_u)
-            continue
-        inside, todo = [], [m]
-        while todo:
-            j = todo.pop()
-            if j is not None:  # a single point has no merge
-                inside.append(j)
-                todo += merges[j][:2]
-        inside.sort()
-        tree = Tree._from_valid(
-            frozenset(chain.from_iterable(edges[j] for j in inside)),
-            tuple(edges[j] for j in inside),
-        )
-        if len(tree.nodes) == n:
-            trees.append(tree)
-        else:
-            trees += balanced_partition(_leaf_rooted(tree), len(tree.nodes) // n).trees
-    return trees
-
-
 def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
     """k disjoint trees of exactly n points each; bottleneck <= alpha * optimal.
 
@@ -361,10 +303,21 @@ def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
             f"groups of n={n} are not supported: n=2 is a bottleneck matching "
             "problem and n=1 is trivial; use a matching solver instead"
         )
-    mst = minimum_spanning_tree(instance, instance.points())
+    mst = _leaf_rooted(minimum_spanning_tree(instance, instance.points()))
     lengths = instance._lengths(mst.edges)
-    forest = Forest(tuple(_solve_subset(mst, lengths, n)))
-    edges = chain.from_iterable(t.edges for t in forest.trees)  # n >= 3: none is empty
+    size = mst._spans[0]  # an edge's lower end has the smaller subtree
+
+    def cut(i: int) -> bool:
+        return min(map(size.get, mst.edges[i])) % n == 0
+
+    trees: list[Tree] = []
+    for piece in _pieces(mst, lambda i: (lengths[i], -i), cut):
+        if len(piece.nodes) == n:
+            trees.append(piece)
+        else:
+            trees += balanced_partition(_leaf_rooted(piece), len(piece.nodes) // n).trees
+    forest = Forest(tuple(trees))
+    edges = chain.from_iterable(t.edges for t in trees)  # n >= 3: none is empty
     return PbstResult(
         forest=forest,
         bottleneck=max(instance._lengths(edges)),

@@ -23,16 +23,23 @@ back from its own row.
 Validation happens at the boundary, and metric.py's one C-speed id check,
 `_check_int_ids`, decides what a node id is: a hand-built `Tree`, a tree
 document, and every node argument (`Tree._check_nodes`) go through it.
-Trees derived from a valid tree (the MST, `rooted_at`, the sides of
-`split_tree_at_edge`) are built by `Tree._from_valid` without checks, and a
-`rooted_at` copy shares its source's adjacency.  Trees
-wired from new edges (`Tree._wired`: GBST's T2 and the PBST pieces) check
-their structure, not their ids; DBST's wired trees are trees by the bucket
-invariant `dbst._wire` checks, and use `_from_valid`.
-Distance reads over a tree are one `_check_ids` pass over its nodes.
+Trees derived from a valid tree (the MST, `rooted_at`, the sides of `_cut`
+and `split_tree_at_edge`, the pieces of `_pieces`) are built by
+`Tree._from_valid` without checks, and a `rooted_at` copy shares its
+source's adjacency.  Trees wired from new edges (`Tree._wired`: GBST's T2
+and the PBST partitions' pieces) check their structure, not their ids;
+DBST's wired trees are trees by the bucket invariant `dbst._wire` checks,
+and use `_from_valid`.  Distance reads over a tree are one `_check_ids`
+pass over its nodes.
 
-`_merges` is the package's one union-find: PBST's splits, GBST's T1, the
-oracles' bounds and `_check_structure`'s cycle check all sweep through it.
+`_merges` is the package's one union-find: `_pieces` (DBST's and PBST's
+cuts of the MST), GBST's T1, the oracles' bounds and `_check_structure`'s
+cycle check all sweep through it.  `_pieces` tests each edge against the
+whole rooted tree, not against the piece it sits in.  Both callers' tests
+count points below the edge, and every piece cut off holds a whole number
+of units (n points for PBST, one point of every tuple for DBST), so an
+edge's side in its piece differs from its side in the tree by whole units:
+the test reads the same in both.
 """
 
 from __future__ import annotations
@@ -148,9 +155,9 @@ class Tree:
 
         The ids come from `source`, so their types are not checked again,
         but the structure is: a wiring bug raises DomainError instead of
-        returning something that is not a tree.  GBST's T2 and the PBST
-        pieces are built here; DBST's trees are not, since their structure
-        follows from the bucket invariant `dbst._wire` checks.
+        returning something that is not a tree.  GBST's T2 and the balanced
+        partitions' pieces are built here; DBST's trees are not, since their
+        structure follows from the bucket invariant `dbst._wire` checks.
         """
         nodes = frozenset(nodes)
         if not nodes <= source.nodes:
@@ -465,18 +472,71 @@ def hop_distance(tree: Tree, u: int, v: int) -> int:
     return hops
 
 
+def _edges_within(edges, nodes) -> tuple[tuple[int, int], ...]:
+    return tuple(e for e in edges if e[0] in nodes and e[1] in nodes)
+
+
+def _cut(t: Tree, v: int) -> tuple[Tree, Tree]:
+    """The subtree of t at v, rooted at v, and the rest of t; edges keep t's order."""
+    below = frozenset(t._below(v))
+    rest = t.nodes - below
+    return (
+        Tree._from_valid(below, _edges_within(t.edges, below), v),
+        Tree._from_valid(rest, _edges_within(t.edges, rest), t.root),
+    )
+
+
 def split_tree_at_edge(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree]:
-    """Remove one edge and return the two components (u-side, v-side)."""
+    """Remove one edge and return the two components (u-side, v-side), unrooted."""
     u, v = e = _normalize_edge(*edge)
     if v not in tree.adjacency.get(u, ()):
         raise DomainError(f"({edge[0]}, {edge[1]}) is not an edge of the tree")
     _check_int_ids(e, "tree edge endpoint")
-    below = frozenset(tree._below(v if tree._rooting[0][v] == u else u))
-    rest = tree.nodes - below
-    side_u, side_v = (rest, below) if v in below else (below, rest)
-    edges_u = tuple(f for f in tree.edges if f != e and f[0] in side_u)
-    edges_v = tuple(f for f in tree.edges if f != e and f[0] in side_v)
-    return Tree._from_valid(side_u, edges_u), Tree._from_valid(side_v, edges_v)
+    low = v if tree._rooting[0][v] == u else u
+    sides = _cut(tree, low)
+    return tuple(Tree._from_valid(t.nodes, t.edges) for t in (sides[::-1] if low == v else sides))
+
+
+def _pieces(tree: Tree, key, cut) -> list[Tree]:
+    """The components of `tree` cut at its largest-key edge and again inside each side.
+
+    Edge indices are swept through `_merges` in `key` order, which builds the
+    single-linkage merge tree: each edge merges the last merges of its u- and
+    v-side components, so a component's last merge is its largest-key edge.
+    Walking down from the last merge, u-side first, splits every merge whose
+    edge index `cut` allows.  Any other merge keeps its component whole, with
+    its edges in tree order, and a single point becomes a one-node tree.  When
+    the top edge is not cut, `tree` itself is the one piece.
+    """
+    edges = tree.edges
+    top = max(range(len(edges)), key=key, default=None)
+    if top is None or not cut(top):
+        return [tree]
+    sides: dict = {}  # merge -> the last merges of its u- and v-side, None for a lone point
+    last: dict[int, int] = {}  # component root -> index of its last merge
+    order = sorted(range(len(edges)), key=key)
+    for i, ru, rv in _merges(((i, *edges[i]) for i in order), tree.nodes):
+        sides[i] = (last.get(ru), last.get(rv))
+        last[ru] = i
+    pieces: list[Tree] = []
+    stack: list[tuple[int | None, int | None]] = [(top, None)]  # (merge, None) or (None, point)
+    while stack:
+        m, x = stack.pop()
+        if m is None:
+            pieces.append(Tree._from_valid(frozenset((x,)), ()))
+        elif cut(m):
+            stack += zip(sides[m][::-1], edges[m][::-1])
+        else:
+            inside, todo = [], [m]
+            while todo:
+                j = todo.pop()
+                if j is not None:
+                    inside.append(j)
+                    todo += sides[j]
+            inside.sort()
+            part = tuple(edges[j] for j in inside)
+            pieces.append(Tree._from_valid(frozenset(chain.from_iterable(part)), part))
+    return pieces
 
 
 def _cube_order(tree: Tree, spine: list[int]) -> list[int]:

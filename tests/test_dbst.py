@@ -25,6 +25,7 @@ from bottleneck_trees import (
     split_tree_at_edge,
 )
 import bottleneck_trees.dbst as dbst
+from bottleneck_trees.trees import _leaf_rooted
 from bottleneck_trees.generators import (
     euclidean_instance,
     path_metric,
@@ -358,13 +359,16 @@ def test_shortcut_matches_the_split_per_tied_edge():
 
 
 def test_shortcut_splits_the_mst_at_most_once(monkeypatch):
-    calls = []
+    # A solve builds the MST, its leaf-rooted copy and its two trees; a
+    # search that split or re-rooted the MST once per tied edge builds more.
+    built = []
+    from_valid = Tree._from_valid.__func__
 
-    def counted(tree, edge):
-        calls.append(edge)
-        return split_tree_at_edge(tree, edge)
+    def counted(cls, nodes, edges, root=None):
+        built.append(nodes)
+        return from_valid(cls, nodes, edges, root)
 
-    monkeypatch.setattr(dbst, "split_tree_at_edge", counted)
+    monkeypatch.setattr(Tree, "_from_valid", classmethod(counted))
     # Every MST edge of a hop matrix is tied at the bottleneck length.
     rng = random.Random(9)
     n = 200
@@ -372,10 +376,91 @@ def test_shortcut_splits_the_mst_at_most_once(monkeypatch):
     path = Tree(frozenset(range(2 * n)), tuple((i, i + 1) for i in range(2 * n - 1)))
     cases.append((path_metric(path), TuplePartition(2, [(i, 2 * n - 1 - i) for i in range(n)])))
     for inst, tuples in cases:
-        calls.clear()
+        built.clear()
         result = solve_dbst(inst, tuples)
-        assert len(calls) <= 1
-    assert result.shortcut and calls == [(n - 1, n)]
+        assert len(built) <= 4
+    assert result.shortcut
+    halves = [frozenset(range(n)), frozenset(range(n, 2 * n))]
+    assert [t.nodes for t in result.forest.trees] == halves
+
+
+def _balanced_cut(tree: Tree, length: dict, groups) -> tuple[int, int] | None:
+    """The first longest edge, in edge order, whose sides hold equally many
+    points of every group (a tuple cut down to the tree), else None.  Only
+    edges whose lower subtree holds a multiple of len(groups) are tallied."""
+    parent, size = tree._rooting[0], tree._spans[0]
+    top, m = max(map(length.__getitem__, tree.edges)), len(groups)
+    for u, v in tree.edges:
+        low = u if parent[u] == v else v
+        if length[u, v] == top and size[low] % m == 0:
+            below = set(tree._below(low))
+            if all(len(below.intersection(g)) == size[low] // m for g in groups):
+                return u, v
+    return None
+
+
+def _split_loop_dbst(instance, tuples):
+    """solve_dbst as it cut the MST before the cuts became one sweep order:
+    `_balanced_cut` and the split loop, copied verbatim."""
+    mst = minimum_spanning_tree(instance, instance.points())
+    length = dict(zip(mst.edges, instance._lengths(mst.edges)))
+    trees: list[Tree] = []
+    shortcut, bp = False, None
+    todo = [(mst, tuples.tuples)]  # pieces and their tuples' points; u-sides pop first
+    while todo:
+        piece, groups = todo.pop()
+        if len(groups[0]) == 1:
+            trees.append(piece)
+            continue
+        piece = _leaf_rooted(piece)
+        cut = _balanced_cut(piece, length, groups)
+        if cut is None:
+            wired, bp, _ = dbst._wire(piece, groups, len(groups[0]))
+            trees += wired
+            continue
+        shortcut = True
+        for side in split_tree_at_edge(piece, cut)[::-1]:
+            todo.append((side, tuple(tuple(p for p in g if p in side.nodes) for g in groups)))
+    label = {p: c for c, t in enumerate(trees) for p in t.nodes}
+    labels = tuple(map(label.__getitem__, instance.points()))
+    return trees, labels, shortcut, None if shortcut else bp
+
+
+def _tied_clusters(k, n, rng):
+    """n k-tuples on integer grids 10 apart, each grid holding the same
+    number of points of every tuple: many tied edges, balanced or not."""
+    slots = sorted(rng.randrange(k) for _ in range(k))
+    ids = rng.sample(range(k * n), k * n)
+    groups = [ids[i : i + k] for i in range(0, k * n, k)]
+    coords = [None] * (k * n)
+    for members in groups:
+        for p, c in zip(members, rng.sample(slots, k)):
+            coords[p] = (10 * c + rng.randrange(3), rng.randrange(2))
+    return MetricInstance.from_coordinates(coords), TuplePartition(k, groups)
+
+
+def test_sweep_order_cuts_as_the_split_loop():
+    rng = random.Random(240)
+    cases = []
+    for trial in range(400):
+        kind = ("hop-matrix", "integer-grid", "joined-hop-matrix", "far-clumps")[trial % 4]
+        cases.append(_tie_heavy(kind, rng.randint(1, 12), rng))
+        k, n = rng.randint(3, 5), rng.randint(1, 6)
+        cases.append(_tied_clusters(k, n, rng))
+        cases.append((path_metric(random_tree(k * n, rng)), random_tuples(k * n, k, rng)))
+    for k in range(2, 7):
+        points = rng.sample(range(k), k)
+        cases.append((path_metric(_shuffled_path(k, rng)), TuplePartition(k, [points])))
+    cut = 0
+    for inst, tuples in cases:
+        result = solve_dbst(inst, tuples)
+        trees, labels, shortcut, buckets = _split_loop_dbst(inst, tuples)
+        assert [(t.nodes, t.edges, t.root) for t in result.forest.trees] == [
+            (t.nodes, t.edges, t.root) for t in trees
+        ]
+        assert (result.labels, result.shortcut, result.buckets) == (labels, shortcut, buckets)
+        cut += shortcut
+    assert 600 <= cut < len(cases)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])

@@ -47,6 +47,7 @@ from bottleneck_trees.trees import (
     _merges,
     _mst_triples,
     _normalize_edge,
+    _pieces,
     tree_from_dict,
     tree_to_dict,
 )
@@ -433,6 +434,22 @@ def test_split_tree_at_edge():
     assert right.nodes == frozenset({2, 3, 4})
     with pytest.raises(DomainError):
         split_tree_at_edge(t, (0, 4))
+
+
+def test_pieces_cut_u_side_first_and_keep_an_uncut_tree_whole():
+    star = Tree(frozenset(range(5)), ((0, 4), (1, 4), (2, 4), (3, 4)), root=0)
+    assert _pieces(star, lambda i: i, lambda i: False)[0] is star
+    # The largest key is (3, 4): its u-side is the lone point 3, its v-side
+    # the rest, which (2, 4) cuts next.
+    every = _pieces(star, lambda i: i, lambda i: True)
+    assert [(t.nodes, t.edges, t.root) for t in every] == [
+        (frozenset({v}), (), None) for v in (3, 2, 1, 0, 4)
+    ]
+    top = _pieces(star, lambda i: -i, lambda i: i == 0)
+    assert [(t.nodes, t.edges) for t in top] == [
+        (frozenset({0}), ()),
+        (frozenset({1, 2, 3, 4}), ((1, 4), (2, 4), (3, 4))),
+    ]
 
 
 # The four walks that the cached preorder replaced, verbatim but for names:
