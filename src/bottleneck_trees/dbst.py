@@ -56,8 +56,9 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     nodes are keyed in the candidate heap.  A bucket taken at v shrinks
     every ancestor of v by exactly k; that debt is carried upward only while
     ancestors fall below k and is banked at the first one that does not, so
-    a node's size is exact when it enters the heap.  v's deepest-leaf heap
-    is kept across repeated picks of v.
+    a node's size is exact when it enters the heap.  A pick's key only
+    falls as v gives buckets, and no candidate is pushed until v drops
+    below k, so v takes all its buckets in one go, from one leaf heap.
     """
     if tree.root is None:
         raise DomainError("bucketize needs a rooted tree")
@@ -90,44 +91,38 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
             cand.append((s, v))
     heapify(cand)
     owed = dict.fromkeys(order, 0)
-    leaf_heaps: dict[int, list[tuple[int, int]]] = {}
 
     buckets: list[tuple[int, ...]] = []
     reps: list[int] = []
     bucket_index: dict[int, int] = {}
     while cand:
         _, v = heappop(cand)
-        leaf_heap = leaf_heaps.get(v)
-        if leaf_heap is None:
-            # Snapshot v's current subtree; every child subtree is below k.
-            leaf_heap = []
-            stack = [v]
-            while stack:
-                x = stack.pop()
-                if kids[x]:
-                    stack.extend(kids[x])
-                else:
-                    leaf_heap.append((-depth[x], x))
-            heapify(leaf_heap)
-            leaf_heaps[v] = leaf_heap
-        bucket: list[int] = []
-        for _ in range(k):
-            _, leaf = heappop(leaf_heap)
-            bucket.append(leaf)
-            bucket_index[leaf] = len(buckets)
-            p = parent[leaf]
-            if p is not None:
-                kids[p].remove(leaf)
-                if leaf != v and not kids[p]:
-                    heappush(leaf_heap, (-depth[p], p))
-        buckets.append(tuple(bucket))
-        reps.append(v)
-        size[v] -= k
-        owed[v] += k
-        if size[v] >= k:
-            heappush(cand, (size[v], v))
-            continue
-        del leaf_heaps[v]
+        # Snapshot v's current subtree; every child subtree is below k.
+        leaf_heap: list[tuple[int, int]] = []
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            if kids[x]:
+                stack.extend(kids[x])
+            else:
+                leaf_heap.append((-depth[x], x))
+        heapify(leaf_heap)
+        # v stays the smallest candidate until it drops below k.
+        while size[v] >= k:
+            bucket: list[int] = []
+            for _ in range(k):
+                _, leaf = heappop(leaf_heap)
+                bucket.append(leaf)
+                bucket_index[leaf] = len(buckets)
+                p = parent[leaf]
+                if p is not None:
+                    kids[p].remove(leaf)
+                    if leaf != v and not kids[p]:
+                        heappush(leaf_heap, (-depth[p], p))
+            buckets.append(tuple(bucket))
+            reps.append(v)
+            size[v] -= k
+            owed[v] += k
         # v left the candidates: carry its debt up past every ancestor that
         # falls below k, and bank it at the first one that does not.
         debt = owed[v]

@@ -15,7 +15,6 @@ run on the components left whole.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import chain
 
@@ -95,44 +94,19 @@ def _peel(t: Tree, x: int, branches, n: int) -> tuple[Tree, Tree, Tree, int]:
     return piece, rest, keep, j
 
 
-def _shrink_side(side: set[int], count: int, depth, grand) -> set[int]:
-    """Remove `count` leaves of the grandparent-linked side tree.
-
-    Deepest-first, ties to the lowest id.  The side's shallowest node (its
-    anchor) is popped only once everything else is gone, so it survives any
-    shrink that leaves the side non-empty.
-    """
-    moved: set[int] = set()
-    child_count = {x: 0 for x in side}
-    for x in side:
-        g = grand(x)
-        if g is not None:
-            child_count[g] += 1
-    heap = [(-depth[x], x) for x in side if child_count[x] == 0]
-    heapq.heapify(heap)
-    while len(moved) < count:
-        _, x = heapq.heappop(heap)
-        if x in moved or child_count[x] != 0:
-            continue
-        moved.add(x)
-        g = grand(x)
-        if g is not None:
-            child_count[g] -= 1
-            if child_count[g] == 0:
-                heapq.heappush(heap, (-depth[g], g))
-    return moved
-
-
 def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
     """Two disjoint trees of sizes (size_r, rest), edges spanning <= 2 hops.
 
     Rooted at a leaf, nodes at even depth start red and the rest blue.  The
-    oversized color sheds its deepest leaves (under grandparent links) into
-    the other one.  Each color then links every node but its anchor (the
-    root for red, the root's child for blue) to its parent if that shares
-    its color, else to its grandparent.  A color that only shrank holds one
-    depth parity, so its links are all grandparent links.  The returned R
-    holds the root and has exactly size_r nodes.
+    oversized color sheds its deepest nodes, ties to the lowest id, into the
+    other one.  That color is one whole depth parity, whose nodes' children
+    under grandparent links sit two levels deeper, so the deepest node left
+    is always a leaf, and the anchor, the shallowest, is never shed.  Each
+    color then links every node but its anchor (the root for red, the
+    root's child for blue) to its parent if that shares its color, else to
+    its grandparent.  A color that only shrank holds one depth parity, so
+    its links are all grandparent links.  The returned R holds the root and
+    has exactly size_r nodes.
     """
     n = len(tree.nodes)
     if not _is_int(size_r) or not 1 <= size_r <= n - 1:
@@ -149,7 +123,7 @@ def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
     blue = set(t.nodes) - red
     if len(red) != size_r:
         big, small = (red, blue) if len(red) > size_r else (blue, red)
-        moved = _shrink_side(big, abs(len(red) - size_r), depth, grand)
+        moved = set(sorted(big, key=lambda x: (-depth[x], x))[: abs(len(red) - size_r)])
         big -= moved
         small |= moved
 

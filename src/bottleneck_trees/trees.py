@@ -547,20 +547,22 @@ def _cube_order(tree: Tree, spine: list[int]) -> list[int]:
     order; a branch is walked from its head along the edge to the head's
     smallest other neighbor, and the last spine edge is walked the same way.
     """
-    # Edges are deleted as they are walked, and each neighbor list is scanned
-    # once through a monotone pointer, so the work is linear in the edges.
+    # The reached nodes (the spine, then the far end of each walked edge)
+    # stay connected, so the tree edges between them are exactly the walked
+    # ones and the spine's.  Each neighbor list is scanned once through a
+    # monotone pointer, so the work is linear in the edges.
     adj = tree.adjacency
     ptr = dict.fromkeys(adj, 0)
-    deleted = {_normalize_edge(x, y) for x, y in zip(spine, spine[1:])}
+    reached = set(spine)
     out: list[int] = []
-    # A node on the stack is emitted; (a, b, rev) deletes edge (a, b) and
+    # A node on the stack is emitted; (a, b, rev) walks edge (a, b) and
     # emits its component from a to b, or from b to a when rev is True.
     stack: list = []
 
     def next_of(x: int) -> int | None:
         lst = adj[x]
         i = ptr[x]
-        while i < len(lst) and _normalize_edge(x, lst[i]) in deleted:
+        while i < len(lst) and lst[i] in reached:
             i += 1
         ptr[x] = i
         return lst[i] if i < len(lst) else None
@@ -576,7 +578,7 @@ def _cube_order(tree: Tree, spine: list[int]) -> list[int]:
                 out.append(item)
                 continue
             a, b, rev = item
-            deleted.add(_normalize_edge(a, b))
+            reached.add(b)
             first, second = (b, a) if rev else (a, b)
             push(second, True)
             push(first, False)
@@ -585,7 +587,7 @@ def _cube_order(tree: Tree, spine: list[int]) -> list[int]:
         out.append(s)
         head = next_of(s)
         while head is not None:
-            deleted.add(_normalize_edge(s, head))
+            reached.add(head)
             push(head, False)
             drain()
             head = next_of(s)

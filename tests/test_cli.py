@@ -1,5 +1,6 @@
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +49,24 @@ def test_dbst_separated_line_k3_is_optimal(tmp_path, capsys):
     doc = json.loads(out)
     assert (doc["bottleneck"], doc["optimal"], doc["ratio"]) == (1.0, 1.0, 1.0)
     assert doc["labels"] == [2, 1, 0, 2, 1, 0]
+
+
+@pytest.mark.parametrize("document, nodes", [("line-one-tuple3", 1), ("two-tuples", 2)])
+def test_dbst_tours_of_one_or_two_tuples_exit_two(tmp_path, capsys, document, nodes):
+    # DBST's trees then hold one or two points, too few for a tour, and the
+    # DomainError from the lift ends the run with status 2 and no output.
+    if document == "two-tuples":
+        inst = tmp_path / "inst.json"
+        inst.write_text(json.dumps({
+            "k": 3,
+            "points": {"coordinates": [[0.0], [1.0], [2.0], [10.0], [11.0], [12.0]]},
+            "tuples": [[0, 1, 2], [3, 4, 5]],
+        }))
+    else:
+        inst = Path(__file__).parent / "golden" / "instances" / f"{document}.json"
+    code, out, err = _run(capsys, "dbst", "--tours", "--input", str(inst))
+    assert (code, out) == (2, "")
+    assert err == f"error: a tree with {nodes} nodes yields a degenerate tour\n"
 
 
 def test_gbst_end_to_end(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import random
 import sys
 from itertools import combinations
@@ -7,6 +8,7 @@ from math import comb, factorial
 import pytest
 
 from bottleneck_trees import (
+    AlgorithmInvariantError,
     DomainError,
     Forest,
     MetricInstance,
@@ -30,6 +32,7 @@ from bottleneck_trees import (
 import bottleneck_trees.pbst as pbst
 from bottleneck_trees.metric import _is_int
 from bottleneck_trees.oracle import _multiple_bound
+from bottleneck_trees.trees import _leaf_rooted
 from bottleneck_trees.generators import (
     euclidean_instance,
     random_metric_instance,
@@ -99,6 +102,86 @@ def test_partition_two_random():
         size_r = rng.randint(1, n - 1)
         r, b = partition_two(tree, size_r)
         _check_split(tree, (r, b), (size_r, n - size_r), 2)
+
+
+def _shrink_side(side: set[int], count: int, depth, grand) -> set[int]:
+    """Remove `count` leaves of the grandparent-linked side tree.
+
+    Deepest-first, ties to the lowest id.  The side's shallowest node (its
+    anchor) is popped only once everything else is gone, so it survives any
+    shrink that leaves the side non-empty.
+    """
+    moved: set[int] = set()
+    child_count = {x: 0 for x in side}
+    for x in side:
+        g = grand(x)
+        if g is not None:
+            child_count[g] += 1
+    heap = [(-depth[x], x) for x in side if child_count[x] == 0]
+    heapq.heapify(heap)
+    while len(moved) < count:
+        _, x = heapq.heappop(heap)
+        if x in moved or child_count[x] != 0:
+            continue
+        moved.add(x)
+        g = grand(x)
+        if g is not None:
+            child_count[g] -= 1
+            if child_count[g] == 0:
+                heapq.heappush(heap, (-depth[g], g))
+    return moved
+
+
+def _reference_partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
+    """partition_two as it was when the oversized colour shed through a leaf heap."""
+    t = _leaf_rooted(tree)
+    parent = t.parent_map
+    depth = t.depth_map
+
+    def grand(x: int) -> int | None:
+        p = parent[x]
+        return parent[p] if p is not None else None
+
+    red = {x for x in t.nodes if depth[x] % 2 == 0}
+    blue = set(t.nodes) - red
+    if len(red) != size_r:
+        big, small = (red, blue) if len(red) > size_r else (blue, red)
+        moved = _shrink_side(big, abs(len(red) - size_r), depth, grand)
+        big -= moved
+        small |= moved
+
+    def link(side: set[int], anchor: int) -> Tree:
+        edges = []
+        for x in sorted(side):
+            if x == anchor:
+                continue
+            p = parent[x] if parent[x] in side else grand(x)
+            if p not in side:
+                raise AlgorithmInvariantError(f"node {x} has no parent or grandparent in its side")
+            edges.append((x, p))
+        return Tree._wired(side, edges, anchor, t)
+
+    root = t.root
+    assert root is not None
+    return link(red, root), link(blue, t.adjacency[root][0])
+
+
+def test_partition_two_sheds_as_the_leaf_heap_did():
+    # Every size_r of seeded trees of each shape, rooted at a random node or
+    # not at all; all but one size_r per tree make a colour shed nodes.
+    rng = random.Random(25)
+    trees = [random_tree(rng.randint(2, 40), rng) for _ in range(40)]
+    for shape in ("recursive", "path", "star", "caterpillar", "broom"):
+        trees += [_shaped_tree(shape, rng.randint(2, 60), rng) for _ in range(30)]
+    trees += [_shaped_tree(shape, 200, rng) for shape in ("recursive", "caterpillar", "broom")]
+    for tree in trees:
+        n = len(tree.nodes)
+        for size_r in range(1, n):
+            got = partition_two(tree, size_r)
+            want = _reference_partition_two(tree, size_r)
+            assert [(t.nodes, t.edges, t.root) for t in got] == [
+                (t.nodes, t.edges, t.root) for t in want
+            ]
 
 
 def test_partition_three_path6():

@@ -3,6 +3,7 @@ import math
 import random
 from collections import defaultdict
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -503,7 +504,7 @@ def _reference_branches(t, x):
     return [(u, below[u], tuple(inner[u])) for u in children[x]]
 
 
-def _reference_path_between(tree, a, b):
+def _reference_spine(tree, a, b):
     parent = {a: a}
     stack = [a]
     while b not in parent:
@@ -516,7 +517,104 @@ def _reference_path_between(tree, a, b):
     while spine[-1] != a:
         spine.append(parent[spine[-1]])
     spine.reverse()
-    return _cube_order(tree, spine)
+    return spine
+
+
+def _reference_path_between(tree, a, b):
+    return _cube_order(tree, _reference_spine(tree, a, b))
+
+
+def _reference_cube_order(tree: Tree, spine: list[int]) -> list[int]:
+    """All nodes from spine[0] to spine[-1], consecutive ones <= 3 hops apart.
+
+    `spine` is the tree path between the two ends.  Each spine node but the
+    last two is emitted, then each of its side branches in ascending head
+    order; a branch is walked from its head along the edge to the head's
+    smallest other neighbor, and the last spine edge is walked the same way.
+    """
+    # Edges are deleted as they are walked, and each neighbor list is scanned
+    # once through a monotone pointer, so the work is linear in the edges.
+    adj = tree.adjacency
+    ptr = dict.fromkeys(adj, 0)
+    deleted = {_normalize_edge(x, y) for x, y in zip(spine, spine[1:])}
+    out: list[int] = []
+    # A node on the stack is emitted; (a, b, rev) deletes edge (a, b) and
+    # emits its component from a to b, or from b to a when rev is True.
+    stack: list = []
+
+    def next_of(x: int) -> int | None:
+        lst = adj[x]
+        i = ptr[x]
+        while i < len(lst) and _normalize_edge(x, lst[i]) in deleted:
+            i += 1
+        ptr[x] = i
+        return lst[i] if i < len(lst) else None
+
+    def push(x: int, rev: bool) -> None:
+        nxt = next_of(x)
+        stack.append(x if nxt is None else (x, nxt, rev))
+
+    def drain() -> None:
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, tuple):
+                out.append(item)
+                continue
+            a, b, rev = item
+            deleted.add(_normalize_edge(a, b))
+            first, second = (b, a) if rev else (a, b)
+            push(second, True)
+            push(first, False)
+
+    for s in spine[:-2]:
+        out.append(s)
+        head = next_of(s)
+        while head is not None:
+            deleted.add(_normalize_edge(s, head))
+            push(head, False)
+            drain()
+            head = next_of(s)
+    stack.append((spine[-2], spine[-1], False))
+    drain()
+    return out
+
+
+class _ReadBudget(list):
+    """A neighbor list whose reads draw on a budget shared by the whole tree."""
+
+    def __init__(self, items, left):
+        super().__init__(items)
+        self.left = left
+
+    def __getitem__(self, i):
+        self.left[0] -= 1
+        assert self.left[0] >= 0, "the walk read its neighbor lists more than 4n times"
+        return super().__getitem__(i)
+
+
+def test_cube_order_walks_as_the_edge_set_did():
+    # Spines between seeded end pairs (tree edges among them) on random and
+    # shaped trees, up to 10^4 nodes: tracking reached nodes instead of
+    # deleted edges returns the same order.  The walk reads the neighbor
+    # lists at most 4n times: each list is skipped along once (2n - 2 reads
+    # in all), and each node is handed out once, with two reads, when the
+    # edge to it is walked.  So a walk that loses track of what it reached
+    # fails here instead of running on.
+    rng = random.Random(26)
+    trees = [random_tree(rng.randint(2, 40), rng) for _ in range(150)]
+    for shape in ("recursive", "path", "star", "caterpillar", "broom"):
+        trees += [_shaped_tree(shape, rng.randint(2, 80), rng) for _ in range(40)]
+        trees.append(_shaped_tree(shape, 10**4, rng))
+    trees.append(random_tree(10**4, rng))
+    for tree in trees:
+        nodes = sorted(tree.nodes)
+        spines = [list(rng.choice(tree.edges))]
+        spines += [_reference_spine(tree, *rng.sample(nodes, 2)) for _ in range(3)]
+        for spine in spines:
+            left = [4 * len(nodes)]
+            adjacency = {x: _ReadBudget(a, left) for x, a in tree.adjacency.items()}
+            got = _cube_order(SimpleNamespace(adjacency=adjacency), spine)
+            assert got == _reference_cube_order(tree, spine)
 
 
 def _fields(tree):
