@@ -2,16 +2,26 @@
 
 The corpus was written once by tests/golden/make_golden.py; a refactor that
 changes any solver's or oracle's JSON, tie-break included, or any batch CSV
-field but `millis`, fails here.
+field but `millis`, fails here.  A digest pins the solvers' results the
+same way on a few hundred seeded instances that no golden file holds.
 """
 
+import hashlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
 
+from bottleneck_trees import MetricInstance, TuplePartition, solve_2gbst, solve_dbst, solve_pbst
 from bottleneck_trees.cli import main
+from bottleneck_trees.generators import (
+    euclidean_instance,
+    random_clusters,
+    random_metric_instance,
+    random_tuples,
+)
 
 _spec = importlib.util.spec_from_file_location(
     "make_golden", Path(__file__).parent / "golden" / "make_golden.py"
@@ -52,3 +62,62 @@ def test_batch_is_byte_identical(tmp_path):
     assert main(["batch", "--config", str(make_golden.BATCH_CONFIG), "-o", str(fresh)]) == 0
     blanked = make_golden.blank_millis(fresh.read_text(encoding="utf-8"))
     assert blanked == make_golden.BATCH_OUTPUT.read_text(encoding="utf-8")
+
+
+def _clustered_line(k, m, rng):
+    """m k-tuples on a line, in two or three clumps 100 apart.
+
+    Each clump holds the same number of points of every tuple, so its size
+    is a multiple of m: DBST and PBST (at this k) both cut the MST between
+    clumps.
+    """
+    cuts = sorted(rng.sample(range(1, k), rng.randint(1, min(2, k - 1))))
+    slots = [c for c, (a, b) in enumerate(zip([0, *cuts], [*cuts, k])) for _ in range(b - a)]
+    ids = rng.sample(range(k * m), k * m)
+    groups = [ids[i : i + k] for i in range(0, k * m, k)]
+    coords = [None] * (k * m)
+    for members in groups:
+        for p, c in zip(members, rng.sample(slots, k)):
+            coords[p] = (100.0 * c + rng.random(),)
+    return MetricInstance.from_coordinates(coords), TuplePartition(k, groups)
+
+
+def _fields(tree):
+    return sorted(tree.nodes), tree.edges, tree.root
+
+
+def test_solver_outputs_are_pinned():
+    # Every solver's answer, tie-breaks and tree orders included, on seeded
+    # Euclidean, random-metric and clustered-line instances of 6-40 points,
+    # so any rewrite of the solves' internals must return identical results.
+    rng = random.Random(2600)
+    outputs = []
+    cut = 0
+    for i in range(300):
+        kind, k = i % 3, 2 + (i // 3) % 4
+        m = rng.randint(3, 40 // k)
+        if kind == 0:
+            inst = euclidean_instance(2, k * m, rng)
+            tuples = random_tuples(k * m, k, rng)
+        elif kind == 1:
+            inst = random_metric_instance(k * m, rng)
+            tuples = random_tuples(k * m, k, rng)
+        else:
+            inst, tuples = _clustered_line(k, m, rng)
+        clusters = random_clusters(k * m, rng, singletons=rng.randrange(k * m % 2, k * m, 2))
+        d = solve_dbst(inst, tuples)
+        g = solve_2gbst(inst, clusters)
+        p = solve_pbst(inst, k)
+        if kind == 2:
+            assert d.shortcut and p.bottleneck < p.mst_bottleneck, i
+            cut += 1
+        outputs.append(
+            (
+                (d.bottleneck, [_fields(t) for t in d.forest.trees], d.labels, d.shortcut),
+                (g.bottleneck, _fields(g.tree), _fields(g.t1), g.selection.selected_nodes()),
+                (p.bottleneck, [_fields(t) for t in p.forest.trees], p.mst_bottleneck),
+            )
+        )
+    assert cut == 100
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == "7febaad9d40afab5d1959e30a680dcd70f0c7f5cfb810de54b5d1a4735e235c0"
