@@ -23,7 +23,7 @@ from itertools import chain
 from .errors import AlgorithmInvariantError, DomainError, PartitionError
 from .labeling import Labeling, _konig_labeling
 from .metric import MetricInstance, TuplePartition, _is_int
-from .trees import Forest, Tree, _leaf_rooted, _normalize_edge, _pieces, minimum_spanning_tree
+from .trees import Forest, Tree, _leaf_rooted, _mst, _normalize_edge, _pieces
 
 
 @dataclass(frozen=True)
@@ -236,7 +236,7 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
             f"instance has {instance.point_count} points but the tuples cover "
             f"{tuples.point_count}"
         )
-    mst = minimum_spanning_tree(instance, instance.points())
+    mst = _mst(instance, list(instance.points()))
     rooted = _leaf_rooted(mst)
     length = instance._lengths(mst.edges)
     groups, m = tuples.tuples, tuples.group_count

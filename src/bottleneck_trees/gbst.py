@@ -22,7 +22,7 @@ from .errors import (
     PartitionError,
 )
 from .metric import ClusterPartition, MetricInstance
-from .trees import Tree, _merges, minimum_spanning_tree
+from .trees import Tree, _merges, _mst
 
 SELECTED = "selected"
 BURNED = "burned"
@@ -75,8 +75,7 @@ def build_t1(instance: MetricInstance, clusters: ClusterPartition) -> Tree:
     if len(clusters.clusters) == 1:
         p = clusters.clusters[0][0]
         return Tree._from_valid(frozenset({p}), ())
-
-    mst = minimum_spanning_tree(instance, instance.points())
+    mst = _mst(instance, list(instance.points()))
     at, points = _cover(((i, *e) for i, e in enumerate(mst.edges)), clusters.clusters)
     nodes = frozenset(points)
     return Tree._from_valid(nodes, tuple(e for e in mst.edges[: at + 1] if e[0] in nodes))
@@ -94,6 +93,11 @@ def select_nodes(t1: Tree, clusters: ClusterPartition) -> NodeSelection:
     _check_pair_clusters(clusters)
     if t1.root is None:
         raise DomainError("select_nodes needs a rooted tree")
+    return _select(t1, clusters)
+
+
+def _select(t1: Tree, clusters: ClusterPartition) -> NodeSelection:
+    """select_nodes for a rooted t1 and pair clusters."""
     nodes = t1.nodes
     twin: dict[int, int] = {}
     forced: list[int] = []
@@ -154,7 +158,8 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
     Each selected node joins the nearest selected node strictly closer to
     the root, found by climbing: parent, grandparent, great-grandparent, and
     finally the twin's sibling that the walk selected right after burning
-    the grandparent.
+    the grandparent.  Each link climbs, so `Tree._linked` needs no
+    structure check.
     """
     if t1.root is None:
         raise DomainError("build_t2 needs a rooted tree")
@@ -165,9 +170,8 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
     order = selection.visit_order
     next_visited = {order[i]: order[i + 1] for i in range(len(order) - 1)}
 
-    selected = selection.selected_nodes()
-    edges: list[tuple[int, int]] = []
-    for a in selected:
+    links: list[tuple[int, int]] = []
+    for a in selection.selected_nodes():
         if a == t1.root:
             continue
         climb = [a]  # a, then the burned ancestors passed so far
@@ -176,7 +180,7 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
             if up is None:
                 raise AlgorithmInvariantError(f"burned node {climb[-1]} is the root")
             if status[up] == SELECTED:
-                edges.append((a, up))
+                links.append((a, up))
                 break
             climb.append(up)
         else:
@@ -186,8 +190,8 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
                 raise AlgorithmInvariantError(
                     f"no selected node within 3 hops above {a}; the selection walk is broken"
                 )
-            edges.append((a, chosen_child))
-    return Tree._wired(selected, edges, t1.root, t1)
+            links.append((a, chosen_child))
+    return Tree._linked(t1.root, links, t1.depth_map)
 
 
 @dataclass(frozen=True)
@@ -204,7 +208,8 @@ def solve_2gbst(instance: MetricInstance, clusters: ClusterPartition) -> GbstRes
 
     T1 is rooted at a node whose cluster contributes nothing else to T1 when
     one exists (so the root is certainly selected); otherwise at the
-    lowest-id node, where the walk starts and selects it.
+    lowest-id node, where the walk starts and selects it.  `build_t1` checks
+    the clusters, and nothing after it checks them again.
     """
     t1 = build_t1(instance, clusters)
     singles = []
@@ -214,7 +219,7 @@ def solve_2gbst(instance: MetricInstance, clusters: ClusterPartition) -> GbstRes
             singles.append(inside[0])
     root = min(singles) if singles else min(t1.nodes)
     t1 = t1.rooted_at(root)
-    selection = select_nodes(t1, clusters)
+    selection = _select(t1, clusters)
     t2 = build_t2(t1, selection)
     return GbstResult(
         tree=t2,

@@ -38,11 +38,12 @@ def exact_dbst(
     """Optimal k disjoint trees by enumerating tuple-to-tree assignments.
 
     The first tuple's assignment is pinned to kill the k! tree-relabeling
-    symmetry; capped at k <= 3 and n <= 6 tuples.
+    symmetry; capped at n <= 6 tuples and (k!)^(n-1) <= 14,400 assignments,
+    so k = 4 and 5 run up to n = 4 and 3, and every k <= 3 case runs.
     """
     k, n = tuples.k, tuples.group_count
-    if k > 3 or n > 6:
-        raise OracleSizeError(f"exact_dbst is capped at k<=3, n<=6 (got k={k}, n={n})")
+    if n > 6 or factorial(k) ** (n - 1) > 14_400:
+        raise OracleSizeError(f"exact_dbst is capped at n<=6, (k!)^(n-1)<=14400 (got k={k}, n={n})")
     if instance.point_count != tuples.point_count:
         raise PartitionError("tuples do not cover exactly the instance's points")
 

@@ -26,9 +26,9 @@ from .trees import (
     _cut,
     _edges_within,
     _leaf_rooted,
+    _mst,
     _pieces,
     cube_hamiltonian_path_between,
-    minimum_spanning_tree,
 )
 
 
@@ -52,19 +52,19 @@ def _branches(t: Tree, x: int) -> list[tuple[int, set[int], tuple[tuple[int, int
 def _hang(t: Tree, x: int, branch) -> Tree:
     """The branch (u, nodes, edges) of t below x with x hung on top as its root."""
     u, below, inner = branch
-    return Tree._wired(below | {x}, inner + ((x, u),), x, t)
+    return Tree._wired(below | {x}, inner + ((x, u),), x)
 
 
-def _regraft(edges, nodes, keep: Tree | None) -> tuple[tuple[int, int], ...]:
-    """The edges inside `nodes`, with those inside `keep` swapped for keep's own.
-
-    The surviving edges keep their order; keep's edges go last.
-    """
-    if keep is None:
-        return _edges_within(edges, nodes)
-    inner = keep.nodes
-    kept = (e for e in _edges_within(edges, nodes) if not (e[0] in inner and e[1] in inner))
-    return (*kept, *keep.edges)
+def _regraft(t: Tree, nodes, keep: Tree | None, links=()) -> Tree:
+    """The rest of t on `nodes`: its edges inside them in order, those inside
+    `keep` swapped for keep's own, then `links`.  Whether these form a tree
+    depends on where the peel and its split fell, not on one local rule, so
+    these rests alone go through the checked `Tree` constructor."""
+    edges = _edges_within(t.edges, nodes)
+    if keep is not None:
+        inner = keep.nodes
+        edges = (*(e for e in edges if not (e[0] in inner and e[1] in inner)), *keep.edges)
+    return Tree(frozenset(nodes), (*edges, *links), t.root)
 
 
 def _peel(t: Tree, x: int, branches, n: int) -> tuple[Tree, Tree, Tree, int]:
@@ -86,12 +86,9 @@ def _peel(t: Tree, x: int, branches, n: int) -> tuple[Tree, Tree, Tree, int]:
     hung = _hang(t, x, branches[j])
     keep, give = partition_two(hung, len(hung.nodes) - (n - acc))
     lead = set().union(*(below for _, below, _ in branches[:j]))
-    links = tuple((u, uj) for u, _, _ in branches[:j])
-    piece_edges = _edges_within(t.edges, lead) + give.edges + links
-    piece = Tree._wired(lead | give.nodes, piece_edges, uj, t)
-    rest_nodes = t.nodes - piece.nodes
-    rest = Tree._wired(rest_nodes, _regraft(t.edges, rest_nodes, keep), t.root, t)
-    return piece, rest, keep, j
+    links = ((u, uj) for u, _, _ in branches[:j])
+    piece = Tree._wired(lead | give.nodes, (*_edges_within(t.edges, lead), *give.edges, *links), uj)
+    return piece, _regraft(t, t.nodes - piece.nodes, keep), keep, j
 
 
 def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
@@ -105,8 +102,9 @@ def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
     color then links every node but its anchor (the root for red, the
     root's child for blue) to its parent if that shares its color, else to
     its grandparent.  A color that only shrank holds one depth parity, so
-    its links are all grandparent links.  The returned R holds the root and
-    has exactly size_r nodes.
+    its links are all grandparent links.  Parents and grandparents are
+    strictly shallower, so `Tree._linked` needs no structure check.  The
+    returned R holds the root and has exactly size_r nodes.
     """
     n = len(tree.nodes)
     if not _is_int(size_r) or not 1 <= size_r <= n - 1:
@@ -114,11 +112,6 @@ def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
     t = _leaf_rooted(tree)
     parent = t.parent_map
     depth = t.depth_map
-
-    def grand(x: int) -> int | None:
-        p = parent[x]
-        return parent[p] if p is not None else None
-
     red = {x for x in t.nodes if depth[x] % 2 == 0}
     blue = set(t.nodes) - red
     if len(red) != size_r:
@@ -128,15 +121,8 @@ def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
         small |= moved
 
     def link(side: set[int], anchor: int) -> Tree:
-        edges = []
-        for x in sorted(side):
-            if x == anchor:
-                continue
-            p = parent[x] if parent[x] in side else grand(x)
-            if p not in side:
-                raise AlgorithmInvariantError(f"node {x} has no parent or grandparent in its side")
-            edges.append((x, p))
-        return Tree._wired(side, edges, anchor, t)
+        up = [(x, parent[x]) for x in sorted(side) if x != anchor]
+        return Tree._linked(anchor, [(x, p if p in side else parent.get(p)) for x, p in up], depth)
 
     root = t.root
     assert root is not None
@@ -210,11 +196,9 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
     for u, below, inner in taken:
         g_nodes |= below
         g_edges += (*inner, (v, u))
-    chain = [u for u, _, _ in chained]
-    g_tree = Tree._wired(g_nodes, g_edges, v, tilde)
-    b_nodes = tilde.nodes - g_nodes
-    b_edges = _regraft(tilde.edges, b_nodes, b_keep) + tuple(zip(chain, [*chain[1:], parent2[v]]))
-    return r_tree, g_tree, Tree._wired(b_nodes, b_edges, tilde.root, tilde)
+    chain = [u for u, _, _ in chained] + [parent2[v]]
+    g_tree = Tree._wired(g_nodes, g_edges, v)
+    return r_tree, g_tree, _regraft(tilde, tilde.nodes - g_nodes, b_keep, zip(chain, chain[1:]))
 
 
 def partition_many(tree: Tree, k: int) -> Forest:
@@ -226,30 +210,28 @@ def partition_many(tree: Tree, k: int) -> Forest:
     """
     if not _is_int(k) or k < 4:
         raise DomainError(f"partition_many needs an integer k >= 4, got {k!r}")
-    total = len(tree.nodes)
-    if total % k != 0:
-        raise PartitionError(f"node count {total} is not divisible by k={k}")
-    n = total // k
-    leaves = tree.leaves()
-    path = cube_hamiltonian_path_between(tree, leaves[0], leaves[-1])
-    pieces = [path[i * n : (i + 1) * n] for i in range(k)]
-    trees = tuple(Tree._wired(piece, zip(piece, piece[1:]), piece[0], tree) for piece in pieces)
-    return Forest(trees)
+    return balanced_partition(tree, k)
 
 
 def balanced_partition(tree: Tree, k: int) -> Forest:
     """k disjoint equal-size trees; hops <= 2 for k in {2, 3}, <= 3 for k >= 4."""
     if not _is_int(k) or k < 2:
         raise DomainError(f"balanced_partition needs an integer k >= 2, got {k!r}")
-    total = len(tree.nodes)
-    if total % k != 0:
-        raise PartitionError(f"node count {total} is not divisible by k={k}")
-    if k == 2:
-        r_tree, b_tree = partition_two(tree, total // 2)
-        return Forest((r_tree, b_tree))
-    if k == 3:
-        return Forest(partition_three(tree))
-    return partition_many(tree, k)
+    if len(tree.nodes) % k != 0:
+        raise PartitionError(f"node count {len(tree.nodes)} is not divisible by k={k}")
+    return Forest(_partition(tree, k))
+
+
+def _partition(tree: Tree, k: int) -> tuple[Tree, ...]:
+    """balanced_partition's trees, for a k >= 2 that divides the node count;
+    for k >= 4, runs of one path through all the nodes, so each is a path."""
+    if k < 4:
+        return partition_two(tree, len(tree.nodes) // 2) if k == 2 else partition_three(tree)
+    leaves = tree.leaves()
+    path = cube_hamiltonian_path_between(tree, leaves[0], leaves[-1])
+    n = len(path) // k
+    runs = [path[i : i + n] for i in range(0, len(path), n)]
+    return tuple(Tree._wired(run, zip(run, run[1:]), run[0]) for run in runs)
 
 
 @dataclass(frozen=True)
@@ -277,7 +259,7 @@ def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
             f"groups of n={n} are not supported: n=2 is a bottleneck matching "
             "problem and n=1 is trivial; use a matching solver instead"
         )
-    mst = _leaf_rooted(minimum_spanning_tree(instance, instance.points()))
+    mst = _leaf_rooted(_mst(instance, list(instance.points())))
     lengths = instance._lengths(mst.edges)
     size = mst._spans[0]  # an edge's lower end has the smaller subtree
 
@@ -289,11 +271,10 @@ def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
         if len(piece.nodes) == n:
             trees.append(piece)
         else:
-            trees += balanced_partition(_leaf_rooted(piece), len(piece.nodes) // n).trees
-    forest = Forest(tuple(trees))
+            trees += _partition(_leaf_rooted(piece), len(piece.nodes) // n)
     edges = chain.from_iterable(t.edges for t in trees)  # n >= 3: none is empty
     return PbstResult(
-        forest=forest,
+        forest=Forest(tuple(trees)),
         bottleneck=max(instance._lengths(edges)),
         mst_bottleneck=max(lengths),
     )

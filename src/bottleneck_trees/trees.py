@@ -26,11 +26,12 @@ document, and every node argument (`Tree._check_nodes`) go through it.
 Trees derived from a valid tree (the MST, `rooted_at`, the sides of `_cut`
 and `split_tree_at_edge`, the pieces of `_pieces`) are built by
 `Tree._from_valid` without checks, and a `rooted_at` copy shares its
-source's adjacency.  Trees wired from new edges (`Tree._wired`: GBST's T2
-and the PBST partitions' pieces) check their structure, not their ids;
-DBST's wired trees are trees by the bucket invariant `dbst._wire` checks,
-and use `_from_valid`.  Distance reads over a tree are one `_check_ids`
-pass over its nodes.
+source's adjacency.  Trees wired from new edges skip the structure check
+too: `Tree._linked` guards the link rule of GBST's T2 and `partition_two`
+(each node joins a strictly shallower one), `Tree._wired` joins whole
+subtrees and paths for the other partition pieces, DBST's rest on the bucket
+invariant `dbst._wire` checks, and only `pbst._regraft`'s rests are checked.
+Distance reads over a tree are one `_check_ids` pass over its nodes.
 
 `_merges` is the package's one union-find: `_pieces` (DBST's and PBST's
 cuts of the MST), GBST's T1, the oracles' bounds and `_check_structure`'s
@@ -50,7 +51,7 @@ from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter, le
 
-from .errors import DomainError, IdentifierError
+from .errors import AlgorithmInvariantError, DomainError, IdentifierError
 from .metric import MetricInstance, _check_int_ids
 
 
@@ -150,21 +151,26 @@ class Tree:
         return tree
 
     @classmethod
-    def _wired(cls, nodes, edges, root: int | None, source: "Tree") -> "Tree":
-        """A tree on some of `source`'s nodes, joined by newly wired edges.
+    def _wired(cls, nodes, edges, root: int | None) -> "Tree":
+        """A tree on a valid tree's nodes and new edges that its builder makes a tree."""
+        edges = tuple((u, v) if u <= v else (v, u) for u, v in edges)
+        return cls._from_valid(frozenset(nodes), edges, root)
 
-        The ids come from `source`, so their types are not checked again,
-        but the structure is: a wiring bug raises DomainError instead of
-        returning something that is not a tree.  GBST's T2 and the balanced
-        partitions' pieces are built here; DBST's trees are not, since their
-        structure follows from the bucket invariant `dbst._wire` checks.
+    @classmethod
+    def _linked(cls, root: int, links: list[tuple[int, int]], depth) -> "Tree":
+        """The tree on `root` and the x of every (x, p) link, joined by the links.
+
+        Each x is linked once, to a node p of the tree strictly shallower in
+        `depth`, so the links from any node climb to the root: m nodes, m - 1
+        edges, no cycle.  A link that breaks this raises AlgorithmInvariantError.
         """
-        nodes = frozenset(nodes)
-        if not nodes <= source.nodes:
-            raise DomainError("a wired tree holds nodes outside its source tree")
-        edges = tuple(_normalize_edge(u, v) for u, v in edges)
-        _check_structure(nodes, edges, root)
-        return cls._from_valid(nodes, edges, root)
+        nodes = frozenset([root, *(x for x, _ in links)])
+        if len(nodes) != len(links) + 1:
+            raise AlgorithmInvariantError("a node is linked twice, or the root is linked")
+        for x, p in links:
+            if p not in nodes or depth[p] >= depth[x]:
+                raise AlgorithmInvariantError(f"node {x} links to {p}, not a shallower node")
+        return cls._wired(nodes, links, root)
 
     @cached_property
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -428,6 +434,11 @@ def minimum_spanning_tree(instance: MetricInstance, subset) -> Tree:
     points = sorted(set(ids))
     if not points:
         raise DomainError("cannot span an empty point set")
+    return _mst(instance, points)
+
+
+def _mst(instance: MetricInstance, points: list[int]) -> Tree:
+    """The MST on sorted, distinct, checked ids; the solvers pass range(n)'s own."""
     edges = tuple((u, v) for _, u, v in _mst_triples(instance, points))
     return Tree._from_valid(frozenset(points), edges)
 

@@ -526,6 +526,37 @@ def test_exact_dbst_caps():
 
     with pytest.raises(OracleSizeError):
         exact_dbst(inst, random_tuples(14, 2, random.Random(0)))
+    # (6!)^2 assignments are past the cap, though n = 3 is not
+    inst = euclidean_instance(1, 18, random.Random(0))
+    with pytest.raises(OracleSizeError):
+        exact_dbst(inst, random_tuples(18, 6, random.Random(0)))
+
+
+def test_exact_dbst_matches_unreduced_enumeration_at_k4_and_k5():
+    rng = random.Random(45)
+    for trial in range(9):
+        k = 5 if trial == 8 else 4
+        inst = random_metric_instance(2 * k, rng)
+        tuples = random_tuples(2 * k, k, rng)
+        _, reduced = exact_dbst(inst, tuples)
+        assert reduced == _brute_dbst_value(inst, tuples)
+
+
+def test_dbst_within_3k_minus_2_of_exact_at_k4_and_k5():
+    # Seeded families past the old k <= 3 cap: 100 instances each of k = 4,
+    # n = 2 and k = 5, n = 2, and 90 of k = 4, n = 3, Euclidean and
+    # random-metric in turn.
+    for k, n, count in ((4, 2, 100), (4, 3, 90), (5, 2, 100)):
+        rng = random.Random(1000 * k + n)
+        for trial in range(count):
+            inst = (
+                euclidean_instance(2, k * n, rng)
+                if trial % 2
+                else random_metric_instance(k * n, rng)
+            )
+            tuples = random_tuples(k * n, k, rng)
+            _, optimal = exact_dbst(inst, tuples)
+            assert solve_dbst(inst, tuples).bottleneck <= (3 * k - 2) * optimal + 1e-9
 
 
 def _separated_line(k):
@@ -547,8 +578,7 @@ def test_separated_line_optimum_is_one(k):
         assert all(len(tree.nodes & set(t)) == 1 for t in tuples.tuples)
     assert forest_bottleneck(forest, inst) == 1.0
     assert min(inst.distance(u, v) for u in range(2 * k) for v in range(u)) == 1.0
-    if k == 3:
-        assert exact_dbst(inst, tuples)[1] == 1.0
+    assert exact_dbst(inst, tuples)[1] == 1.0
 
 
 @pytest.mark.parametrize("k", [3, 4])

@@ -125,18 +125,25 @@ def test_build_t1_matches_full_threshold_sweep():
 
 def test_solve_builds_one_mst(monkeypatch):
     import bottleneck_trees.gbst as gbst
+    import bottleneck_trees.trees as trees
 
-    calls = []
+    calls, kernel_calls = [], []
+    mst, kernel = gbst._mst, trees._mst_triples
 
-    def counted(instance, subset):
-        calls.append(subset)
-        return minimum_spanning_tree(instance, subset)
+    def counted(instance, points):
+        calls.append(points)
+        return mst(instance, points)
 
-    monkeypatch.setattr(gbst, "minimum_spanning_tree", counted)
+    def counted_kernel(instance, points):
+        kernel_calls.append(points)
+        return kernel(instance, points)
+
+    monkeypatch.setattr(gbst, "_mst", counted)
+    monkeypatch.setattr(trees, "_mst_triples", counted_kernel)
     rng = random.Random(4)
     inst = euclidean_instance(2, 40, rng)
     solve_2gbst(inst, _random_even_clusters(40, rng))
-    assert len(calls) == 1
+    assert calls == kernel_calls == [list(range(40))]
 
 
 def test_build_t1_rejects_oversized_clusters():

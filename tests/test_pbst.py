@@ -159,7 +159,7 @@ def _reference_partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
             if p not in side:
                 raise AlgorithmInvariantError(f"node {x} has no parent or grandparent in its side")
             edges.append((x, p))
-        return Tree._wired(side, edges, anchor, t)
+        return Tree(frozenset(side), edges, anchor)
 
     root = t.root
     assert root is not None
@@ -517,18 +517,26 @@ def test_split_sides_are_msts_of_their_points():
 
 
 def test_solve_builds_one_mst_while_recursing(monkeypatch):
-    calls = []
+    import bottleneck_trees.trees as trees
 
-    def counted(instance, subset):
-        calls.append(subset)
-        return minimum_spanning_tree(instance, subset)
+    calls, kernel_calls = [], []
+    mst, kernel = pbst._mst, trees._mst_triples
 
-    monkeypatch.setattr(pbst, "minimum_spanning_tree", counted)
+    def counted(instance, points):
+        calls.append(points)
+        return mst(instance, points)
+
+    def counted_kernel(instance, points):
+        kernel_calls.append(points)
+        return kernel(instance, points)
+
+    monkeypatch.setattr(pbst, "_mst", counted)
+    monkeypatch.setattr(trees, "_mst_triples", counted_kernel)
     # three far-apart groups of three: the solver splits twice
     coords = [(x + 0.1 * i,) for x in (0.0, 100.0, 250.0) for i in range(3)]
     inst = MetricInstance.from_coordinates(coords)
     result = solve_pbst(inst, 3)
-    assert len(calls) == 1
+    assert calls == kernel_calls == [list(range(9))]
     groups = {frozenset(t.nodes) for t in result.forest.trees}
     assert groups == {frozenset({0, 1, 2}), frozenset({3, 4, 5}), frozenset({6, 7, 8})}
 

@@ -52,6 +52,7 @@ from bottleneck_trees.trees import (
     tree_from_dict,
     tree_to_dict,
 )
+from test_golden import _clustered_line
 from test_pbst import _shaped_tree
 
 random_trees = st.builds(
@@ -846,18 +847,21 @@ def test_derived_trees_skip_the_structure_check(structure_checks):
     assert structure_checks == [frozenset({0, 1})]
 
 
-def test_wired_tree_checks_structure():
-    source = Tree(frozenset(range(6)), ((0, 1), (1, 2), (2, 3), (3, 4), (4, 5)))
-    piece = Tree._wired({4, 2, 0}, [(2, 0), (4, 2)], 0, source)
+def test_linked_tree_guards_the_link_rule():
+    depth = {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 9: 1}
+    piece = Tree._linked(0, [(2, 0), (4, 2)], depth)
     assert piece == Tree(frozenset({0, 2, 4}), ((0, 2), (2, 4)), root=0)
-    with pytest.raises(DomainError, match="cycle"):
-        Tree._wired({0, 1, 2, 3}, [(0, 1), (2, 1), (0, 2)], 0, source)
-    with pytest.raises(DomainError, match="outside its source"):
-        Tree._wired({0, 9}, [(0, 9)], 0, source)
-    with pytest.raises(DomainError):
-        Tree._wired({0, 1, 2}, [(0, 1)], 0, source)
-    with pytest.raises(DomainError):
-        Tree._wired({0, 1}, [(0, 1)], 2, source)
+    assert Tree._wired({4, 2, 0}, [(2, 0), (4, 2)], 0) == piece
+    for links, message in (
+        ([(2, 4), (4, 0)], "node 2 links to 4, not a shallower node"),  # deeper
+        ([(2, 0), (4, 9)], "node 4 links to 9, not a shallower node"),  # outside
+        ([(2, 4), (4, 2)], "node 2 links to 4, not a shallower node"),  # a cycle
+        ([(2, 0), (2, 0)], "linked twice"),
+        ([(0, 2), (2, 0)], "linked twice"),  # the root links up
+        ([(2, None)], "node 2 links to None"),
+    ):
+        with pytest.raises(AlgorithmInvariantError, match=message):
+            Tree._linked(0, links, depth)
 
 
 @pytest.mark.parametrize(
@@ -1106,55 +1110,131 @@ def test_dbst_shortcut_checks_nothing(structure_checks):
     assert structure_checks == []
 
 
-def test_gbst_checks_only_t2(structure_checks):
+def _deeper(links, depth):
+    """Point the shallowest linked node at the deepest one."""
+    x = min(links, key=lambda e: depth[e[0]])[0]
+    y = max(links, key=lambda e: depth[e[0]])[0]
+    assert depth[y] > depth[x]
+    return [(a, y if a == x else p) for a, p in links]
+
+
+def _outside(links, depth):
+    """Point a linked node at a shallower node that is not in its tree."""
+    nodes = {v for e in links for v in e}
+    a, o = next((a, o) for a, _ in links for o in depth if o not in nodes and depth[o] < depth[a])
+    return [(x, o if x == a else p) for x, p in links]
+
+
+def _cycle(links, depth):
+    """Point a linked node's partner, itself linked, back at it."""
+    partner = dict(links)
+    x = next(a for a, p in links if p in partner)
+    return [(a, x if a == partner[x] else p) for a, p in links]
+
+
+@pytest.fixture
+def link_fault(monkeypatch):
+    """Installs a fault that rewrites the links every builder hands to `Tree._linked`."""
+    linked = Tree._linked.__func__
+
+    def install(fault):
+        def faulty(cls, root, links, depth):
+            return linked(cls, root, fault(links, depth), depth)
+
+        monkeypatch.setattr(Tree, "_linked", classmethod(faulty))
+
+    return install
+
+
+def test_faulty_t2_links_raise(structure_checks, link_fault):
+    # build_t2's links climb, which is T2's only guard: GBST runs no
+    # structure check, and a link that fails to climb raises.
     rng = random.Random(9)
-    inst = euclidean_instance(2, 240, rng)
-    result = solve_2gbst(inst, random_clusters(240, rng, singletons=40))
-    assert structure_checks == [result.tree.nodes]
+    inst = euclidean_instance(2, 60, rng)
+    clusters = random_clusters(60, rng, singletons=10)
+    result = solve_2gbst(inst, clusters)
+    assert structure_checks == []
+    assert Tree(result.tree.nodes, result.tree.edges, result.tree.root) == result.tree
+    for fault in (_deeper, _outside, _cycle):
+        link_fault(fault)
+        with pytest.raises(AlgorithmInvariantError, match="not a shallower node"):
+            solve_2gbst(inst, clusters)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_faulty_partition_two_links_raise(link_fault, k):
+    # partition_two's parent-else-grandparent links climb; a link that
+    # points deeper, outside its side or closes a cycle raises.
+    inst = euclidean_instance(2, 60, random.Random(40 + k))
+    solve_pbst(inst, k)
+    for fault in (_deeper, _outside, _cycle):
+        link_fault(fault)
+        with pytest.raises(AlgorithmInvariantError, match="not a shallower node"):
+            solve_pbst(inst, k)
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_pbst_checks_only_wired_pieces(structure_checks, monkeypatch, k):
-    # Checks run only inside the partition routines: never on the MST, its
-    # longest-edge splits, re-rootings or extracted subtrees.
-    import bottleneck_trees.pbst as pbst
-    import bottleneck_trees.trees as trees
+def test_pbst_checks_only_regrafted_rests(structure_checks, monkeypatch, k):
+    # Every piece is a tree by how it is built; only the rests that
+    # partition_three regrafts are checked for structure.
+    rests = []
+    regraft = pbst._regraft
 
-    depth = [0]
-    calls = {"partition_two": 0, "partition_three": 0, "partition_many": 0}
+    def recorded(*args):
+        rest = regraft(*args)
+        rests.append(rest.nodes)
+        return rest
 
-    def tracked(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            depth[0] += 1
-            try:
-                return fn(*args)
-            finally:
-                depth[0] -= 1
-
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(pbst, name, tracked(name, getattr(pbst, name)))
-    outside = []
-    counted = trees._check_structure
-
-    def flagged(nodes, edges, root):
-        if not depth[0]:
-            outside.append(nodes)
-        counted(nodes, edges, root)
-
-    monkeypatch.setattr(trees, "_check_structure", flagged)
+    monkeypatch.setattr(pbst, "_regraft", recorded)
     result = solve_pbst(euclidean_instance(2, 240, random.Random(30 + k)), k)
     assert len(result.forest.trees) == k
-    assert outside == []
-    two, three, many = calls["partition_two"], calls["partition_three"], calls["partition_many"]
-    assert two + three + many >= 1
-    if k == 3:
-        # partition_three wires at most six trees of its own per call
-        assert 2 * two <= len(structure_checks) <= 2 * two + 6 * three
-    else:
-        assert len(structure_checks) == 2 * two + k * many
+    assert structure_checks == rests
+    assert bool(rests) == (k == 3)
+
+
+def _pbst_cases(k):
+    """Seeded coordinate and matrix instances of 6-40 points in k groups,
+    half of them clumped lines whose MST PBST cuts."""
+    for seed in range(6):
+        rng = random.Random(300 * k + seed)
+        m = rng.randint(3, 40 // k)
+        yield euclidean_instance(2, k * m, rng), False
+        yield random_metric_instance(k * m, rng), False
+        line, _ = _clustered_line(k, m, rng)
+        yield line, True
+        xs = [x for x, in line.coordinates]
+        yield MetricInstance.from_matrix([[abs(a - b) for b in xs] for a in xs]), True
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_pbst_pieces_pass_the_public_constructor(monkeypatch, k):
+    # Every tree a solve wires, the hung branches, peeled pieces and rests
+    # included, and every tree of the answer.
+    built = []
+    wired = Tree._wired.__func__
+
+    def recorded(cls, nodes, edges, root):
+        built.append(wired(cls, nodes, edges, root))
+        return built[-1]
+
+    monkeypatch.setattr(Tree, "_wired", classmethod(recorded))
+    for inst, clumped in _pbst_cases(k):
+        built.clear()
+        result = solve_pbst(inst, k)
+        assert (result.bottleneck < result.mst_bottleneck) >= clumped
+        assert built or clumped
+        for t in (*built, *result.forest.trees):
+            assert Tree(t.nodes, t.edges, t.root) == t
+
+
+def test_gbst_trees_pass_the_public_constructor():
+    for seed in range(40):
+        rng = random.Random(500 + seed)
+        n = rng.randint(6, 40)
+        inst = euclidean_instance(2, n, rng) if seed % 2 else random_metric_instance(n, rng)
+        result = solve_2gbst(inst, random_clusters(n, rng, singletons=rng.randrange(n % 2, n, 2)))
+        for t in (result.tree, result.t1):
+            assert Tree(t.nodes, t.edges, t.root) == t
 
 
 def test_pbst_clean_splits_check_nothing(structure_checks):
