@@ -158,8 +158,8 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
     Each selected node joins the nearest selected node strictly closer to
     the root, found by climbing: parent, grandparent, great-grandparent, and
     finally the twin's sibling that the walk selected right after burning
-    the grandparent.  Each link climbs, so `Tree._linked` needs no
-    structure check.
+    the grandparent.  Every link climbs, which `Tree._linked` checks in
+    place of a structure check.
     """
     if t1.root is None:
         raise DomainError("build_t2 needs a rooted tree")

@@ -287,7 +287,7 @@ class ClusterPartition:
         return max(len(g) for g in self.clusters)
 
     def check_covers(self, instance: MetricInstance) -> None:
-        flat = list(chain.from_iterable(self.clusters))  # distinct ints: n in 0..n-1 are all
+        flat = list(chain.from_iterable(self.clusters))  # n distinct ints in 0..n-1 are all
         if len(flat) != instance.point_count or not 0 <= min(flat) <= max(flat) < len(flat):
             raise PartitionError("clusters must cover exactly the instance's points")
 

@@ -102,9 +102,9 @@ def partition_two(tree: Tree, size_r: int) -> tuple[Tree, Tree]:
     color then links every node but its anchor (the root for red, the
     root's child for blue) to its parent if that shares its color, else to
     its grandparent.  A color that only shrank holds one depth parity, so
-    its links are all grandparent links.  Parents and grandparents are
-    strictly shallower, so `Tree._linked` needs no structure check.  The
-    returned R holds the root and has exactly size_r nodes.
+    its links are all grandparent links.  Every link climbs, which
+    `Tree._linked` checks in place of a structure check.  The returned R
+    holds the root and has exactly size_r nodes.
     """
     n = len(tree.nodes)
     if not _is_int(size_r) or not 1 <= size_r <= n - 1:
