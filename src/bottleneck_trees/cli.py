@@ -247,11 +247,11 @@ def _cmd_batch(args) -> int:
     jobs = _field(config, "jobs", "a batch config")
     _require(isinstance(jobs, list), "a batch config's 'jobs' must be a list")
     seeds = config.get("seeds", 10)
-    if _is_int(seeds):
+    if _is_int(seeds) and seeds >= 0:
         seeds = list(range(seeds))
     _require(
         isinstance(seeds, list) and all(_is_int(s) for s in seeds),
-        f"a batch config's 'seeds' must be an integer or a list of integers, got {seeds!r}",
+        f"a batch config's 'seeds' must be an integer >= 0 or a list of integers, got {seeds!r}",
     )
     records = [_batch_record(job, seed) for job in jobs for seed in seeds]
     records.sort(key=lambda r: (r["generator"], r["problem"], r["k"], r["n"], r["seed"]))

@@ -51,14 +51,15 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     most 2k-2 hops apart.  The bucket is filled by repeatedly removing the
     deepest leaf of v's subtree (ties to the lowest id).
 
-    Runs in O(n k log n) time on n nodes.  The smallest such subtree always
+    Runs in O(n log n) time on n nodes.  The smallest such subtree always
     hangs from a node none of whose children has k nodes, so only those
-    nodes are keyed in the candidate heap.  A bucket taken at v shrinks
-    every ancestor of v by exactly k; that debt is carried upward only while
-    ancestors fall below k and is banked at the first one that does not, so
-    a node's size is exact when it enters the heap.  A pick's key only
-    falls as v gives buckets, and no candidate is pushed until v drops
-    below k, so v takes all its buckets in one go, from one leaf heap.
+    nodes are keyed in the candidate heap.  Until v is picked, its subtree
+    has lost whole buckets from below only, so each child keeps its size
+    mod k and v's size at the pick is known before the first pick.  Each
+    bucket taken at v leaves v the smallest candidate, so v gives all its
+    size // k buckets at once.  The deepest node left in a subtree is a
+    leaf, so removing the deepest leaf again and again takes v's subtree in
+    (-depth, id) order: one sort per pick.
     """
     if tree.root is None:
         raise DomainError("bucketize needs a rooted tree")
@@ -71,71 +72,59 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     parent, depth, order = tree._rooting
     adj = tree.adjacency
     # One pass over the preorder, children before parents, builds the child
-    # sets, the big-child counts and the candidates from the tree's cached
-    # subtree sizes.  size is read only while a node has k or more nodes.
-    # It is exact for candidates; above a node of k or more it may still
-    # count the buckets banked in owed[] below, until that node falls under k.
+    # sets, each node's size at its pick, the counts of children whose whole
+    # subtree holds k nodes, and the first candidates.  A node's subtree
+    # holds k nodes exactly when its size at the pick does or a child's does.
     kids: dict[int, set[int]] = {}
-    size = dict(tree._spans[0])
+    size = dict.fromkeys(order, 1)
     big_kids = dict.fromkeys(order, 0)
     cand: list[tuple[int, int]] = []
     for v in reversed(order):
         kids[v] = below = set(adj[v])
         s = size[v]
+        if s >= k and not big_kids[v]:
+            cand.append((s, v))
         p = parent[v]
         if p is not None:
             below.discard(p)
-            if s >= k:
+            size[p] += s % k
+            if s >= k or big_kids[v]:
                 big_kids[p] += 1
-        if s >= k and not big_kids[v]:
-            cand.append((s, v))
     heapify(cand)
-    owed = dict.fromkeys(order, 0)
 
     buckets: list[tuple[int, ...]] = []
     reps: list[int] = []
     bucket_index: dict[int, int] = {}
     while cand:
         _, v = heappop(cand)
-        # Snapshot v's current subtree; every child subtree is below k.
-        leaf_heap: list[tuple[int, int]] = []
+        # Snapshot v's current subtree of size[v] nodes, deepest first.
+        snap: list[tuple[int, int]] = []
         stack = [v]
         while stack:
             x = stack.pop()
-            if kids[x]:
-                stack.extend(kids[x])
-            else:
-                leaf_heap.append((-depth[x], x))
-        heapify(leaf_heap)
-        # v stays the smallest candidate until it drops below k.
-        while size[v] >= k:
-            bucket: list[int] = []
-            for _ in range(k):
-                _, leaf = heappop(leaf_heap)
-                bucket.append(leaf)
-                bucket_index[leaf] = len(buckets)
-                p = parent[leaf]
+            stack.extend(kids[x])
+            snap.append((-depth[x], x))
+        snap.sort()
+        taken = [x for _, x in snap[: size[v] - size[v] % k]]
+        for i in range(0, len(taken), k):
+            bucket = tuple(taken[i : i + k])
+            for x in bucket:
+                bucket_index[x] = len(buckets)
+                p = parent[x]
                 if p is not None:
-                    kids[p].remove(leaf)
-                    if leaf != v and not kids[p]:
-                        heappush(leaf_heap, (-depth[p], p))
-            buckets.append(tuple(bucket))
+                    kids[p].remove(x)
+            buckets.append(bucket)
             reps.append(v)
-            size[v] -= k
-            owed[v] += k
-        # v left the candidates: carry its debt up past every ancestor that
-        # falls below k, and bank it at the first one that does not.
-        debt = owed[v]
+        # v fell below k: every ancestor that now has no child of k nodes
+        # either becomes a candidate or falls below k itself.
         u = parent[v]
         while u is not None:
-            size[u] -= debt
             big_kids[u] -= 1
-            if size[u] >= k:
-                owed[u] += debt
-                if not big_kids[u]:
-                    heappush(cand, (size[u], u))
+            if big_kids[u]:
                 break
-            debt += owed[u]
+            if size[u] >= k:
+                heappush(cand, (size[u], u))
+                break
             u = parent[u]
     if len(buckets) * k != count:
         raise AlgorithmInvariantError(f"buckets cover {len(buckets) * k} of {count} nodes")

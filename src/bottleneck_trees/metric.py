@@ -313,6 +313,8 @@ def parse_instance_document(doc: dict) -> InstanceDocument:
     points = doc["points"]
     if not isinstance(points, dict):
         raise DomainError("'points' must be an object")
+    if "coordinates" in points and "matrix" in points:
+        raise DomainError("'points' must not contain both 'coordinates' and 'matrix'")
     if "coordinates" in points:
         instance = MetricInstance.from_coordinates(_list_of_lists(points, "coordinates"))
     elif "matrix" in points:

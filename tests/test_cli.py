@@ -231,6 +231,7 @@ _GEN = {"kind": "euclidean", "n": 6, "dim": 2}
         ({"seeds": "ab", "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
         ({"seeds": [0, "1"], "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
         ({"seeds": True, "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
+        ({"seeds": -3, "jobs": [{"problem": "pbst", "k": 2, "generator": _GEN}]}, "'seeds'"),
         ({"seeds": 1, "jobs": [{"problem": "pbst", "k": 2, "exact": "no",
                                 "generator": _GEN}]}, "'exact'"),
         ({"seeds": 1, "jobs": [{"problem": "dbst",
@@ -239,8 +240,8 @@ _GEN = {"kind": "euclidean", "n": 6, "dim": 2}
     ],
     ids=["no-jobs", "jobs-not-list", "no-problem", "no-generator", "no-k",
          "no-kind", "k-string", "k-float", "k-bool", "n-string", "singletons-string",
-         "seeds-float", "seeds-string", "seeds-list-of-strings", "seeds-bool", "exact-string",
-         "tuples-k-zero"],
+         "seeds-float", "seeds-string", "seeds-list-of-strings", "seeds-bool", "seeds-negative",
+         "exact-string", "tuples-k-zero"],
 )
 def test_malformed_batch_config_exits_two(tmp_path, capsys, config, named):
     path = tmp_path / "batch.json"

@@ -1,11 +1,13 @@
 import heapq
 import random
 from functools import cached_property
+from heapq import heapify, heappop, heappush
 from itertools import permutations, product
 
 import pytest
 
 from bottleneck_trees import (
+    AlgorithmInvariantError,
     BucketPartition,
     DomainError,
     Forest,
@@ -130,7 +132,7 @@ def _caterpillar(n, rng):
 
 
 @pytest.mark.parametrize("shape", [random_tree, _shuffled_path, _star, _caterpillar])
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_bucketize_matches_reference(shape, k):
     rng = random.Random(f"{shape.__name__}-{k}")
     for trial in range(40):
@@ -173,6 +175,117 @@ def test_bucketize_large_path_and_star(k):
         (center,) * (m - 1) + (root,),
         (m - 1,) * (m - 1) + (None,),
     )
+
+
+def _debt_bucketize(tree, k):
+    """bucketize as it was before sizes at the pick were counted up front:
+    lazy size debt carried to the ancestors and a leaf heap per pick,
+    copied verbatim but for the argument checks."""
+    count = len(tree.nodes)
+    parent, depth, order = tree._rooting
+    adj = tree.adjacency
+    # One pass over the preorder, children before parents, builds the child
+    # sets, the big-child counts and the candidates from the tree's cached
+    # subtree sizes.  size is read only while a node has k or more nodes.
+    # It is exact for candidates; above a node of k or more it may still
+    # count the buckets banked in owed[] below, until that node falls under k.
+    kids: dict[int, set[int]] = {}
+    size = dict(tree._spans[0])
+    big_kids = dict.fromkeys(order, 0)
+    cand: list[tuple[int, int]] = []
+    for v in reversed(order):
+        kids[v] = below = set(adj[v])
+        s = size[v]
+        p = parent[v]
+        if p is not None:
+            below.discard(p)
+            if s >= k:
+                big_kids[p] += 1
+        if s >= k and not big_kids[v]:
+            cand.append((s, v))
+    heapify(cand)
+    owed = dict.fromkeys(order, 0)
+
+    buckets: list[tuple[int, ...]] = []
+    reps: list[int] = []
+    bucket_index: dict[int, int] = {}
+    while cand:
+        _, v = heappop(cand)
+        # Snapshot v's current subtree; every child subtree is below k.
+        leaf_heap: list[tuple[int, int]] = []
+        stack = [v]
+        while stack:
+            x = stack.pop()
+            if kids[x]:
+                stack.extend(kids[x])
+            else:
+                leaf_heap.append((-depth[x], x))
+        heapify(leaf_heap)
+        # v stays the smallest candidate until it drops below k.
+        while size[v] >= k:
+            bucket: list[int] = []
+            for _ in range(k):
+                _, leaf = heappop(leaf_heap)
+                bucket.append(leaf)
+                bucket_index[leaf] = len(buckets)
+                p = parent[leaf]
+                if p is not None:
+                    kids[p].remove(leaf)
+                    if leaf != v and not kids[p]:
+                        heappush(leaf_heap, (-depth[p], p))
+            buckets.append(tuple(bucket))
+            reps.append(v)
+            size[v] -= k
+            owed[v] += k
+        # v left the candidates: carry its debt up past every ancestor that
+        # falls below k, and bank it at the first one that does not.
+        debt = owed[v]
+        u = parent[v]
+        while u is not None:
+            size[u] -= debt
+            big_kids[u] -= 1
+            if size[u] >= k:
+                owed[u] += debt
+                if not big_kids[u]:
+                    heappush(cand, (size[u], u))
+                break
+            debt += owed[u]
+            u = parent[u]
+    if len(buckets) * k != count:
+        raise AlgorithmInvariantError(f"buckets cover {len(buckets) * k} of {count} nodes")
+
+    parents: list[int | None] = []
+    for j, v in enumerate(reps):
+        if bucket_index[v] != j:
+            parents.append(bucket_index[v])
+        else:
+            pv = parent[v]
+            parents.append(bucket_index[pv] if pv is not None else None)
+    for j, pj in enumerate(parents[:-1]):
+        if pj is None or pj <= j:
+            raise AlgorithmInvariantError(f"bucket {j} has no later parent bucket (got {pj})")
+    if parents[-1] is not None:
+        raise AlgorithmInvariantError("the final bucket must be the parent-chain sink")
+    return BucketPartition(tuple(buckets), tuple(reps), tuple(parents))
+
+
+def _relabelled(tree, rng):
+    ids = list(tree.nodes)
+    rng.shuffle(ids)
+    name = dict(zip(sorted(tree.nodes), ids))
+    return Tree(frozenset(ids), tuple((name[u], name[v]) for u, v in tree.edges))
+
+
+@pytest.mark.parametrize("shape", ["random", "caterpillar"])
+def test_bucketize_matches_debt_carry_on_large_trees(shape):
+    # 10^4 nodes, beyond the quadratic reference, and k up to n/2.
+    n = 10_000
+    rng = random.Random(f"debt-{shape}")
+    tree = _relabelled(random_tree(n, rng), rng) if shape == "random" else _caterpillar(n, rng)
+    for root in (min(tree.leaves()), rng.choice(sorted(tree.nodes))):
+        rooted = tree.rooted_at(root)
+        for k in (2, 100, n // 2):
+            assert bucketize(rooted, k) == _debt_bucketize(rooted, k)
 
 
 def test_bucketize_path_pairs():
@@ -465,8 +578,9 @@ def test_sweep_order_cuts_as_the_split_loop():
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_solve_counts_subtree_sizes_once(monkeypatch, k):
-    # When the MST is not cut, the balance search and bucketize read one
-    # cached count of the rooted MST's subtree sizes.
+    # When the MST is not cut, the balance search counts the rooted MST's
+    # subtree sizes once, and bucketize, which counts its own sizes at the
+    # pick, counts no others.
     counted = []
     spans = Tree._spans.func
 

@@ -280,6 +280,12 @@ def test_instance_document_rejects_unknown_geometry():
         parse_instance_document({"points": {}})
 
 
+def test_instance_document_rejects_both_geometries():
+    points = {"coordinates": [[0.0], [1.0], [2.0]], "matrix": [[0, 4, 9], [4, 0, 5], [9, 5, 0]]}
+    with pytest.raises(DomainError, match="'coordinates' and 'matrix'"):
+        parse_instance_document({"points": points})
+
+
 @pytest.mark.parametrize("k", ["x", "2", 2.9, 2.0, True, [2]])
 def test_instance_document_rejects_non_integer_k(k):
     points = {"coordinates": [[0.0], [1.0], [2.0], [3.0]]}
