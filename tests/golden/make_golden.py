@@ -131,6 +131,9 @@ INSTANCES_SPEC = {
     "chain1d-clusters": _gen("--kind", "euclidean", "--n", "100", "--dim", "1",
                              "--partition", "clusters", "--seed", "32"),
     "chain-matrix-tuples3": _chain_matrix(120, 33),
+    # Few large tuples: three buckets of 40, labelled in 39 Konig rounds.
+    "euclid2d-tuples40": _gen("--kind", "euclidean", "--n", "120", "--dim", "2",
+                              "--partition", "tuples", "--k", "40", "--seed", "81"),
     "spider4": _gen("--kind", "fixture-spider", "--k", "4"),
     "spider5": _gen("--kind", "fixture-spider", "--k", "5"),
     "spider6": _gen("--kind", "fixture-spider", "--k", "6"),
