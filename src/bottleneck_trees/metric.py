@@ -341,9 +341,8 @@ def parse_instance_document(doc: dict) -> InstanceDocument:
     clusters = None
     if doc.get("clusters") is not None:
         groups = _list_of_lists(doc, "clusters")
-        if k is None:
-            k = max(len(g) for g in groups)
-        clusters = ClusterPartition(k=max(2, k), clusters=tuple(tuple(g) for g in groups))
+        size = max(2, *map(len, groups)) if k is None else k  # an explicit k is checked as given
+        clusters = ClusterPartition(k=size, clusters=tuple(tuple(g) for g in groups))
         clusters.check_covers(instance)
     return InstanceDocument(instance=instance, tuples=tuples, clusters=clusters)
 

@@ -168,6 +168,19 @@ def test_missing_partition_exits_two(tmp_path, capsys):
     assert "tuples" in err
 
 
+@pytest.mark.parametrize("k", [-3, 0])
+@pytest.mark.parametrize("command, partition", [("gbst", "clusters"), ("dbst", "tuples")])
+def test_explicit_k_below_two_exits_two(tmp_path, capsys, command, partition, k):
+    doc = tmp_path / "inst.json"
+    doc.write_text(json.dumps({
+        "points": {"coordinates": [[0], [1], [2], [3]]}, partition: [[0, 1], [2, 3]], "k": k,
+    }))
+    code, out, err = _run(capsys, command, "--input", str(doc))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"at least 2, got {k}" in err
+
+
 def test_solver_output_is_deterministic(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     assert main(["gen", "--kind", "random-metric", "--n", "8", "--partition", "tuples",

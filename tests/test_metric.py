@@ -295,6 +295,16 @@ def test_instance_document_rejects_non_integer_k(k):
         parse_instance_document({"points": points, "clusters": [[0, 3], [1, 2]], "k": k})
 
 
+@pytest.mark.parametrize("k", [-3, 0])
+def test_instance_document_rejects_explicit_k_below_two(k):
+    # An explicit k is checked as given, for clusters as for tuples.
+    points = {"coordinates": [[0.0], [1.0], [2.0], [3.0]]}
+    with pytest.raises(PartitionError, match=f"at least 2, got {k}"):
+        parse_instance_document({"points": points, "tuples": [[0, 3], [1, 2]], "k": k})
+    with pytest.raises(PartitionError, match=f"at least 2, got {k}"):
+        parse_instance_document({"points": points, "clusters": [[0, 3], [1, 2]], "k": k})
+
+
 _json_scalars = (
     st.none()
     | st.booleans()
