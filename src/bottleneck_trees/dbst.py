@@ -16,6 +16,7 @@ piece with no edge longer than the optimum, so 3k-2 bounds it.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import chain
@@ -214,11 +215,13 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
     The leaf-rooted MST is cut at its first longest edge, in edge order, whose
     sides hold the same number j >= 1 of points of every tuple; each side is
     cut the same way, u-side first.  Each edge's balance is read once, from
-    the whole MST, and `trees._pieces` makes every cut.  An MST edge longer
-    than the optimum joins unions of whole optimal trees, so it is such an
-    edge.  A piece with j = 1 is a tree of the answer; one with j >= 2 is
-    bucketed and wired into j trees.  For k = 2 only a half-size side
-    balances, and that cut is optimal.
+    the whole MST: the lower end's subtree fills a run of preorder slots, so
+    a tuple's count below is two bisections of its sorted slots.  Then
+    `trees._pieces` makes every cut.  An MST edge longer than the optimum
+    joins unions of whole optimal trees, so it is such an edge.  A piece
+    with j = 1 is a tree of the answer; one with j >= 2 is bucketed and
+    wired into j trees.  For k = 2 only a half-size side balances, and that
+    cut is optimal.
     """
     if instance.point_count != tuples.point_count:
         raise PartitionError(
@@ -229,13 +232,14 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
     rooted = _leaf_rooted(mst)
     length = instance._lengths(mst.edges)
     groups, m = tuples.tuples, tuples.group_count
-    size = rooted._spans[0]
+    size, start = rooted._spans
+    slots = [sorted(map(start.__getitem__, g)) for g in groups]
 
     def is_balanced(u: int, v: int) -> bool:  # the lower end has the smaller subtree
         low = u if size[u] < size[v] else v
         c, r = divmod(size[low], m)
-        below = () if r else set(rooted._below(low))
-        return not r and all(len(below.intersection(g)) == c for g in groups)
+        lo, hi = start[low], start[low] + size[low]
+        return not r and all(bisect_left(s, hi) - bisect_left(s, lo) == c for s in slots)
 
     balanced = [is_balanced(u, v) for u, v in mst.edges]
     pieces = _pieces(rooted, lambda i: (length[i], balanced[i], -i), balanced.__getitem__)

@@ -4,8 +4,9 @@ Two partitions of the same kn-element set into n groups of size k always
 admit a system picking one shared element per group pair (a classical result
 of Konig; Hall's marriage theorem gives the matching).  Repeating the
 extraction k-1 times labels every element so that each group of either
-partition carries all k labels exactly once.
-"""
+partition carries all k labels exactly once.  Both run on one engine: the
+points each pair of groups shares are listed once, and every round pops
+one system of representatives off those lists."""
 
 from __future__ import annotations
 
@@ -119,25 +120,30 @@ def representatives(a_groups, b_groups) -> tuple[list[int], list[int]]:
     group pair shares, the lowest id is chosen.
     """
     a, b, _ = _validate_double_partition(a_groups, b_groups)
-    return _representatives(a, b)
+    return _round(_shared(a, b))
 
 
-def _representatives(a, b) -> tuple[list[int], list[int]]:
-    """representatives() on groups already known to form a double partition."""
-    return _round(a, {p: j for j, g in enumerate(b) for p in g})
+def _shared(a, b) -> list[dict[int, list[int]]]:
+    """Per a-group: each b-group it meets, ascending, to their shared points, descending."""
+    a_of = {p: i for i, g in enumerate(a) for p in g}
+    shared: list[dict[int, list[int]]] = [{} for _ in a]
+    for j, g in enumerate(b):  # b-groups in ascending order, so every dict's keys ascend
+        for p in sorted(g, reverse=True):
+            shared[a_of[p]].setdefault(j, []).append(p)
+    return shared
 
 
-def _round(a, b_of: dict[int, int]) -> tuple[list[int], list[int]]:
-    """One system of representatives: (reps, pi) as representatives() gives them.
+def _round(shared: list[dict[int, list[int]]]) -> tuple[list[int], list[int]]:
+    """One system of representatives, (reps, pi) as representatives() gives them.
 
-    `b_of` maps each point to its b-group.  The a-groups are matched to the
-    b-groups they meet, and each takes its lowest point in its match.
+    Each a-group is matched to a b-group it meets and pops its lowest point
+    there; an emptied list is dropped, so `shared` keeps the residual groups.
     """
-    n = len(a)
-    match = _maximum_matching([sorted({b_of[p] for p in g}) for g in a], n)
-    if -1 in match or len(set(match)) != n:
+    match = _maximum_matching([list(s) for s in shared], len(shared))
+    if -1 in match or len(set(match)) != len(match):
         raise AlgorithmInvariantError("no perfect matching between the group families")
-    return [min(p for p in g if b_of[p] == j) for g, j in zip(a, match)], match
+    reps = [s[j].pop() if len(s[j]) > 1 else s.pop(j)[0] for s, j in zip(shared, match)]
+    return reps, match
 
 
 def konig_labeling(a_groups, b_groups, k: int) -> Labeling:
@@ -160,22 +166,18 @@ def _konig_labeling(a, b, k: int) -> Labeling:
 
     The labels do not depend on the order of points inside a group: an
     a-group's representative is its lowest point in the matched b-group.
-    Each point's b-group is looked up once, and each sorted a-group drops
-    its representative in place.  A perfect, injective matching takes one
-    point from every group of both partitions, so the residual groups stay
-    a double partition of uniform size without being rebuilt.
+    A perfect, injective matching takes one point from every group of both
+    partitions, so the residual shared lists stay a double partition of
+    uniform size, and a round costs O(m + matching) on m groups, not O(n).
+    After k-1 rounds each a-group's one leftover point takes label k-1.
     """
-    b_of = {p: j for j, g in enumerate(b) for p in g}
-    cur_a = [sorted(g) for g in a]
+    shared = _shared(a, b)
     labels: dict[int, int] = {}
     for label in range(k - 1):
-        reps, _ = _round(cur_a, b_of)
-        for g, p in zip(cur_a, reps):
-            g.remove(p)
+        reps, _ = _round(shared)
         for p in set(reps):  # set order: the dict iterates as it always has
             labels[p] = label
-    for g in cur_a:
-        labels[g[0]] = k - 1
+    labels.update((p, k - 1) for s in shared for (p,) in s.values())  # in a-group order
     return Labeling(labels=labels, k=k)
 
 
@@ -184,12 +186,5 @@ def is_valid_labeling(labeling: Labeling, a_groups, b_groups) -> bool:
     a, b, size = _validate_double_partition(a_groups, b_groups)
     if size != labeling.k:
         return False
-    full = set(range(labeling.k))
-    for g in list(a) + list(b):
-        try:
-            got = {labeling.labels[p] for p in g}
-        except KeyError:
-            return False
-        if got != full:
-            return False
-    return True
+    full, get = set(range(size)), labeling.labels.get  # a missing point reads None
+    return all({get(p) for p in g} == full for g in (*a, *b))

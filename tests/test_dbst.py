@@ -576,6 +576,59 @@ def test_sweep_order_cuts_as_the_split_loop():
     assert 600 <= cut < len(cases)
 
 
+def _set_balance(rooted: Tree, groups) -> list[bool]:
+    """solve_dbst's per-edge balance read as it was, `is_balanced` copied
+    verbatim: a set of every subtree whose size is a multiple of m."""
+    m = len(groups)
+    size = rooted._spans[0]
+
+    def is_balanced(u: int, v: int) -> bool:  # the lower end has the smaller subtree
+        low = u if size[u] < size[v] else v
+        c, r = divmod(size[low], m)
+        below = () if r else set(rooted._below(low))
+        return not r and all(len(below.intersection(g)) == c for g in groups)
+
+    return [is_balanced(u, v) for u, v in rooted.edges]
+
+
+def test_slot_balance_reads_as_the_subtree_sets(monkeypatch):
+    # Few large tuples (m = 1-4, k up to 300): plane points, integer lines
+    # with many tied and zero-length edges, and hop matrices.
+    read = []
+    pieces = dbst._pieces
+
+    def recording(tree, key, cut):
+        read.append((tree, [cut(i) for i in range(len(tree.edges))]))
+        return pieces(tree, key, cut)
+
+    monkeypatch.setattr(dbst, "_pieces", recording)
+    rng = random.Random(281)
+    cases = []
+    for trial in range(36):
+        m = 1 + trial % 4
+        k = rng.choice((2, 3, 5, 17, 40, 101)) if trial < 30 else 300 // m
+        n = k * m
+        kind = trial % 3
+        if kind == 0:
+            inst = euclidean_instance(2, n, rng)
+        elif kind == 1:
+            inst = MetricInstance.from_coordinates([(rng.randrange(max(2, n // 8)),) for _ in range(n)])
+        else:
+            inst = path_metric(random_tree(n, rng))
+        cases.append((inst, random_tuples(n, k, rng)))
+    balanced = checked = 0  # over the edges whose lower subtree holds a multiple of m
+    for inst, tuples in cases:
+        read.clear()
+        solve_dbst(inst, tuples)
+        [(rooted, got)] = read
+        assert got == _set_balance(rooted, tuples.tuples)
+        m, size = tuples.group_count, rooted._spans[0]
+        if m > 1:  # with one tuple every edge is balanced
+            balanced += sum(got)
+            checked += sum(min(size[u], size[v]) % m == 0 for u, v in rooted.edges)
+    assert 0 < balanced < checked
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_solve_counts_subtree_sizes_once(monkeypatch, k):
     # When the MST is not cut, the balance search counts the rooted MST's

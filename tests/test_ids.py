@@ -269,7 +269,7 @@ def test_double_partitions_match_the_reference(case):
     assert (list(got[0]), list(got[1]), got[2]) == (ref_a, ref_b, size)
     # Past validation the labeling code is unchanged, so it must act on the
     # raw groups as it does on the reference's normalized ones.
-    assert _outcome(representatives, a, b) == _outcome(labeling._representatives, ref_a, ref_b)
+    assert _outcome(representatives, a, b) == _outcome(representatives, ref_a, ref_b)
     assert _outcome(konig_labeling, a, b, k) == _outcome(konig_labeling, ref_a, ref_b, k)
     if size == k:
         assert is_valid_labeling(konig_labeling(a, b, k), a, b)

@@ -15,7 +15,7 @@ from bottleneck_trees import (
     solve_dbst,
 )
 from bottleneck_trees.generators import euclidean_instance, random_metric_instance, random_tuples
-from bottleneck_trees.labeling import _konig_labeling, _representatives
+from bottleneck_trees.labeling import _konig_labeling, _maximum_matching
 
 # The worked 12-element example with k=3, n=4 (ids shifted to 0-based):
 EXAMPLE_A = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (9, 10, 11)]
@@ -55,6 +55,15 @@ def test_example_printed_labeling_is_valid():
         k=3,
     )
     assert is_valid_labeling(printed, EXAMPLE_A, EXAMPLE_B)
+
+
+def test_broken_labelings_are_invalid():
+    good = konig_labeling(EXAMPLE_A, EXAMPLE_B, 3).labels
+    missing = {p: c for p, c in good.items() if p != 7}
+    repeated = {**good, 7: (good[7] + 1) % 3}
+    for labels, k in ((missing, 3), (repeated, 3), ({**good, 7: None}, 3), (good, 2), (good, 4)):
+        assert not is_valid_labeling(Labeling(labels=labels, k=k), EXAMPLE_A, EXAMPLE_B)
+    assert is_valid_labeling(Labeling(labels=good, k=3), EXAMPLE_A, EXAMPLE_B)
 
 
 def test_konig_labeling_on_example():
@@ -159,8 +168,9 @@ def test_unchecked_core_labels_as_the_public_labeling(k, n, seed):
 def _rebuilding_konig_labeling(a, b, k: int) -> Labeling:
     """The labeling as it was computed before the one-pass version.
 
-    Kept verbatim as a pin: each round rebuilds both residual partitions
-    and checks their sizes.
+    Kept as a pin: each round rebuilds both residual partitions and checks
+    their sizes.  Its rounds call the public `representatives`, one round
+    of the engine on a freshly validated pair of partitions.
     """
     labels: dict[int, int] = {}
     cur_a = [list(g) for g in a]
@@ -168,7 +178,7 @@ def _rebuilding_konig_labeling(a, b, k: int) -> Labeling:
     # Each round's residual groups are checked below to keep a uniform size,
     # so they stay a double partition and need no validation again.
     for label in range(k - 1):
-        reps, _ = _representatives(cur_a, cur_b)
+        reps, _ = representatives(cur_a, cur_b)
         rep_set = set(reps)
         if len(rep_set) != len(reps):
             raise AlgorithmInvariantError("representatives are not distinct")
@@ -184,11 +194,13 @@ def _rebuilding_konig_labeling(a, b, k: int) -> Labeling:
     return Labeling(labels=labels, k=k)
 
 
-@pytest.mark.parametrize("k", [2, 3, 4, 5])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 100, 400])
 def test_one_pass_labeling_matches_the_rebuilding_one(k):
-    for seed in range(40):
+    # k >= 100 takes few large groups: m = 1, 2 and 3 of them.
+    for seed in range(40 if k < 100 else 3):
         rng = random.Random(1000 * k + seed)
-        a, b = _random_double_partition(k * rng.randint(1, 25), k, rng)
+        m = rng.randint(1, 25) if k < 100 else seed + 1
+        a, b = _random_double_partition(k * m, k, rng)
         want = _rebuilding_konig_labeling(a, b, k)
         got = _konig_labeling(a, b, k)
         assert list(got.labels.items()) == list(want.labels.items())
@@ -212,3 +224,47 @@ def test_one_pass_labeling_matches_on_dbst_buckets(k):
         got = _konig_labeling(tuples.tuples, buckets, k)
         assert list(got.labels.items()) == list(want.labels.items())
         assert tuple(got.labels[p] for p in inst.points()) == result.labels
+
+
+def _rescanning_round(a, b_of: dict[int, int]) -> tuple[list[int], list[int]]:
+    """One round as it was computed before the shared point lists, kept
+    verbatim as a pin: every round rescans every point of every a-group."""
+    n = len(a)
+    match = _maximum_matching([sorted({b_of[p] for p in g}) for g in a], n)
+    if -1 in match or len(set(match)) != n:
+        raise AlgorithmInvariantError("no perfect matching between the group families")
+    return [min(p for p in g if b_of[p] == j) for g, j in zip(a, match)], match
+
+
+def _rescanning_konig_labeling(a, b, k: int) -> Labeling:
+    """The labeling over `_rescanning_round`, kept verbatim as a pin."""
+    b_of = {p: j for j, g in enumerate(b) for p in g}
+    cur_a = [sorted(g) for g in a]
+    labels: dict[int, int] = {}
+    for label in range(k - 1):
+        reps, _ = _rescanning_round(cur_a, b_of)
+        for g, p in zip(cur_a, reps):
+            g.remove(p)
+        for p in set(reps):  # set order: the dict iterates as it always has
+            labels[p] = label
+    for g in cur_a:
+        labels[g[0]] = k - 1
+    return Labeling(labels=labels, k=k)
+
+
+def test_shared_lists_label_as_the_rescanning_rounds():
+    # 3000 seeded double partitions with k = 2-6 and m = 1-8 groups, then
+    # few groups of 100-300 points; labels compared in dict order.
+    cases = []
+    for seed in range(3000):
+        rng = random.Random(seed)
+        k = 2 + seed % 5
+        cases.append((*_random_double_partition(k * rng.randint(1, 8), k, rng), k))
+    for seed, (k, m) in enumerate([(100, 1), (100, 3), (157, 2), (300, 2), (300, 4)]):
+        cases.append((*_random_double_partition(k * m, k, random.Random(9000 + seed)), k))
+    for a, b, k in cases:
+        b_of = {p: j for j, g in enumerate(b) for p in g}
+        assert representatives(a, b) == _rescanning_round(a, b_of)
+        want = _rescanning_konig_labeling(a, b, k)
+        got = _konig_labeling(a, b, k)
+        assert list(got.labels.items()) == list(want.labels.items())
