@@ -84,72 +84,65 @@ def build_t1(instance: MetricInstance, clusters: ClusterPartition) -> Tree:
 def select_nodes(t1: Tree, clusters: ClusterPartition) -> NodeSelection:
     """Visit all of t1, selecting exactly one node per cluster.
 
-    Clusters with a single node inside t1 are selected up front.  Then,
-    starting from the root (or the lowest-id open node when the root is
-    taken), each step selects an open node and burns its cluster twin; the
-    walk continues at the twin's open parent, else an open child of the twin,
-    else restarts at the lowest-id open node.
+    One scan of the clusters (`_pairs`) finds each node's cluster twin in t1
+    and the clusters with a single node inside t1; those nodes are selected
+    up front.  Then, starting from the root (or the lowest-id open node when
+    the root is taken), each step selects an open node and burns its twin;
+    the walk continues at the twin's open parent, else an open child of the
+    twin, else restarts at the lowest-id open node.
     """
     _check_pair_clusters(clusters)
     if t1.root is None:
         raise DomainError("select_nodes needs a rooted tree")
-    return _select(t1, clusters)
+    return _select(t1, *_pairs(t1.nodes, clusters.clusters))
 
 
-def _select(t1: Tree, clusters: ClusterPartition) -> NodeSelection:
-    """select_nodes for a rooted t1 and pair clusters."""
-    nodes = t1.nodes
+def _pairs(
+    nodes: frozenset[int], clusters: tuple[tuple[int, ...], ...]
+) -> tuple[dict[int, int], list[int]]:
+    """Each node's cluster twin inside `nodes`, and the nodes whose cluster has
+    no other node there ("forced"), ascending; pair clusters only."""
     twin: dict[int, int] = {}
     forced: list[int] = []
-    for g in clusters.clusters:
-        inside = [p for p in g if p in nodes]
-        if not inside:
-            raise InfeasibleError(f"cluster {list(g)} has no node in the tree")
-        if len(inside) == 1:
-            forced.append(inside[0])
-        else:
-            a, b = inside
+    for g in clusters:
+        a, b = g[0], g[-1]  # a == b for a one-point cluster
+        if a != b and a in nodes and b in nodes:
             twin[a] = b
             twin[b] = a
+        elif a in nodes or b in nodes:
+            forced.append(a if a in nodes else b)
+        else:
+            raise InfeasibleError(f"cluster {list(g)} has no node in the tree")
+    forced.sort()
+    return twin, forced
 
-    status: dict[int, str] = {}
-    visits: list[int] = []
 
-    def visit(x: int, how: str) -> None:
-        status[x] = how
-        visits.append(x)
+def _select(t1: Tree, twin: dict[int, int], forced: list[int]) -> NodeSelection:
+    """select_nodes for a rooted t1, given `_pairs` of its clusters.
 
-    for p in sorted(forced):
-        visit(p, SELECTED)
-
-    parent = t1.parent_map
-    kids = t1.children_map()
-    scan = sorted(nodes)
-    scan_at = 0
-
-    def lowest_open() -> int | None:
-        nonlocal scan_at
-        while scan_at < len(scan) and scan[scan_at] in status:
-            scan_at += 1
-        return scan[scan_at] if scan_at < len(scan) else None
-
-    current = t1.root if t1.root not in status else lowest_open()
-    while current is not None:
-        a1 = current
-        if a1 not in twin:
-            raise AlgorithmInvariantError(f"open node {a1} has no cluster twin")
-        visit(a1, SELECTED)
-        a2 = twin[a1]
-        if a2 in status:
-            raise AlgorithmInvariantError(f"twin {a2} was already visited")
-        visit(a2, BURNED)
-        p = parent[a2]
-        if p is not None and p not in status:
-            current = p
-            continue
-        open_kids = [c for c in kids[a2] if c not in status]
-        current = open_kids[0] if open_kids else lowest_open()
-    return NodeSelection(status=status, visit_order=tuple(visits))
+    A burned twin's parent, if it has one, is visited before the walk looks
+    at its children, so its first open neighbour in the sorted adjacency is
+    its lowest open child; no children map is built.
+    """
+    status = dict.fromkeys(forced, SELECTED)  # insertion order is visit order
+    parent, adj = t1.parent_map, t1.adjacency
+    for current in (t1.root, *sorted(t1.nodes)):
+        while current is not None and current not in status:
+            a2 = twin.get(current)
+            if a2 is None:
+                raise AlgorithmInvariantError(f"open node {current} has no cluster twin")
+            status[current] = SELECTED
+            if a2 in status:
+                raise AlgorithmInvariantError(f"twin {a2} was already visited")
+            status[a2] = BURNED
+            current = parent[a2]
+            if current is None or current in status:
+                for current in adj[a2]:
+                    if current not in status:
+                        break
+                else:
+                    current = None
+    return NodeSelection(status=status, visit_order=tuple(status))
 
 
 def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
@@ -158,20 +151,32 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
     Each selected node joins the nearest selected node strictly closer to
     the root, found by climbing: parent, grandparent, great-grandparent, and
     finally the twin's sibling that the walk selected right after burning
-    the grandparent.  Every link climbs, which `Tree._linked` checks in
-    place of a structure check.
+    the grandparent, read from an index of the visit order that is built
+    only when that fallback first fires.  Every link climbs, which
+    `Tree._linked` checks in place of a structure check.  DomainError
+    unless the selection fits t1: every node of t1 and no other is selected
+    or burned, the root selected, and the visit order lists each node once.
     """
     if t1.root is None:
         raise DomainError("build_t2 needs a rooted tree")
-    status = selection.status
-    if status.get(t1.root) != SELECTED:
+    status, order = selection.status, selection.visit_order
+    if status.keys() != t1.nodes:
+        raise DomainError("the selection must give a status to every node of t1 and no other")
+    if not all(s in (SELECTED, BURNED) for s in status.values()):
+        raise DomainError(f"a node status must be {SELECTED!r} or {BURNED!r}")
+    if len(order) != len(t1.nodes) or set(order) != t1.nodes:
+        raise DomainError("the visit order must list every node of t1 exactly once")
+    if status[t1.root] != SELECTED:
         raise DomainError("the root of t1 must be a selected node")
-    parent = t1.parent_map
-    order = selection.visit_order
-    next_visited = {order[i]: order[i + 1] for i in range(len(order) - 1)}
+    return _build_t2(t1, status, order)
 
+
+def _build_t2(t1: Tree, status: dict[int, str], order: tuple[int, ...]) -> Tree:
+    """build_t2 for a selection that fits t1, unchecked."""
+    parent = t1.parent_map
+    at: dict[int, int] | None = None
     links: list[tuple[int, int]] = []
-    for a in selection.selected_nodes():
+    for a in sorted(v for v, s in status.items() if s == SELECTED):
         if a == t1.root:
             continue
         climb = [a]  # a, then the burned ancestors passed so far
@@ -185,7 +190,10 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
             climb.append(up)
         else:
             grand = climb[2]
-            chosen_child = next_visited.get(grand)
+            if at is None:
+                at = {v: i for i, v in enumerate(order)}
+            i = at[grand] + 1
+            chosen_child = order[i] if i < len(order) else None
             if status.get(chosen_child) != SELECTED or parent[chosen_child] != grand:
                 raise AlgorithmInvariantError(
                     f"no selected node within 3 hops above {a}; the selection walk is broken"
@@ -206,21 +214,18 @@ class GbstResult:
 def solve_2gbst(instance: MetricInstance, clusters: ClusterPartition) -> GbstResult:
     """One tree with exactly one point per cluster, bottleneck <= 3x optimal.
 
-    T1 is rooted at a node whose cluster contributes nothing else to T1 when
-    one exists (so the root is certainly selected); otherwise at the
-    lowest-id node, where the walk starts and selects it.  `build_t1` checks
-    the clusters, and nothing after it checks them again.
+    T1 is rooted at the lowest node whose cluster contributes nothing else
+    to T1 when one exists (so the root is certainly selected); otherwise at
+    the lowest-id node, where the walk starts and selects it.  One scan of
+    the clusters (`_pairs`) serves the root choice and the walk.  `build_t1`
+    checks the clusters, and nothing after it checks them or the selection
+    again.
     """
     t1 = build_t1(instance, clusters)
-    singles = []
-    for g in clusters.clusters:
-        inside = [q for q in g if q in t1.nodes]
-        if len(inside) == 1:
-            singles.append(inside[0])
-    root = min(singles) if singles else min(t1.nodes)
-    t1 = t1.rooted_at(root)
-    selection = _select(t1, clusters)
-    t2 = build_t2(t1, selection)
+    twin, forced = _pairs(t1.nodes, clusters.clusters)
+    t1 = t1.rooted_at(forced[0] if forced else min(t1.nodes))
+    selection = _select(t1, twin, forced)
+    t2 = _build_t2(t1, selection.status, selection.visit_order)
     return GbstResult(
         tree=t2,
         bottleneck=max(instance._lengths(t2.edges), default=0.0),

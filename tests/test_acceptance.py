@@ -118,14 +118,17 @@ def test_criterion_1_dbst_ratio(monkeypatch):
         return wire(tree, groups, j)
 
     monkeypatch.setattr(dbst, "_wire", recorded)
-    configs = [(2, n, kind) for n in range(2, 7) for kind in ("euclidean", "random-metric")]
-    configs += [(3, n, kind) for n in range(2, 5) for kind in ("euclidean", "random-metric")]
-    configs += [(3, n, "clustered") for n in range(2, 5)]
+    configs = [(2, n, kind, 1000) for n in range(2, 7) for kind in ("euclidean", "random-metric")]
+    configs += [(3, n, kind, 1000) for n in range(2, 5) for kind in ("euclidean", "random-metric")]
+    configs += [(3, n, "clustered", 1000) for n in range(2, 5)]
+    # k = 4: the oracle enumerates (4!)^(n-1) assignments, 576 at n = 3
+    kinds = ("euclidean", "random-metric", "clustered")
+    configs += [(4, n, kind, seeds) for n, seeds in ((2, 300), (3, 150)) for kind in kinds]
     offset = {"euclidean": 0, "random-metric": 50_000_017, "clustered": 70_000_027}
-    for k, n, kind in configs:
+    for k, n, kind, seeds in configs:
         factor = 3 * k - 2
         base = (k * 100 + n) * 100_003 + offset[kind]
-        for seed in range(1000):
+        for seed in range(seeds):
             rng = random.Random(base + seed)
             if kind == "clustered":
                 inst, tuples = _clustered_tuples(k, n, rng)

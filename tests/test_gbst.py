@@ -4,9 +4,12 @@ from itertools import product
 import pytest
 
 from bottleneck_trees import (
+    AlgorithmInvariantError,
     ClusterPartition,
+    DomainError,
     InfeasibleError,
     MetricInstance,
+    NodeSelection,
     PartitionError,
     Tree,
     bottleneck,
@@ -348,3 +351,233 @@ def test_cover_bound_is_t1s_threshold():
             assert bound == float("-inf")
         else:
             assert bound == bottleneck(build_t1(inst, clusters), inst)
+
+
+def _path4_selection():
+    """The path 0-1-2-3 rooted at 0 and the walk's selection for (0), (1, 2), (3)."""
+    t1 = Tree(frozenset(range(4)), ((0, 1), (1, 2), (2, 3)), root=0)
+    sel = select_nodes(t1, ClusterPartition(k=2, clusters=((0,), (1, 2), (3,))))
+    assert build_t2(t1, sel).nodes == frozenset(sel.selected_nodes())
+    return t1, sel
+
+
+def test_build_t2_rejects_a_status_that_misses_a_node():
+    t1, _ = _path4_selection()
+    with pytest.raises(DomainError):
+        build_t2(t1, NodeSelection({0: SELECTED, 3: SELECTED}, (0, 3)))
+
+
+def test_build_t2_rejects_a_status_outside_the_tree():
+    t1, sel = _path4_selection()
+    status = {**sel.status, 7: BURNED}
+    with pytest.raises(DomainError):
+        build_t2(t1, NodeSelection(status, (*sel.visit_order, 7)))
+
+
+def test_build_t2_rejects_an_unknown_status_value():
+    t1, sel = _path4_selection()
+    burned = next(v for v, s in sel.status.items() if s == BURNED)
+    with pytest.raises(DomainError):
+        build_t2(t1, NodeSelection({**sel.status, burned: "weird"}, sel.visit_order))
+
+
+@pytest.mark.parametrize(
+    "order",
+    [(0, 3, 1), (0, 3, 1, 2, 2), (0, 3, 1, 1), (0, 3, 1, 7), (0, 3, 1, 2, 7)],
+    ids=["missing", "repeated-extra", "repeated", "foreign", "foreign-extra"],
+)
+def test_build_t2_rejects_a_visit_order_that_is_not_t1s_nodes(order):
+    t1, sel = _path4_selection()
+    assert sel.visit_order == (0, 3, 1, 2)
+    with pytest.raises(DomainError):
+        build_t2(t1, NodeSelection(sel.status, order))
+
+
+def _reference_select(t1: Tree, clusters: ClusterPartition) -> NodeSelection:
+    """gbst._select before the single cluster scan, copied verbatim."""
+    nodes = t1.nodes
+    twin: dict[int, int] = {}
+    forced: list[int] = []
+    for g in clusters.clusters:
+        inside = [p for p in g if p in nodes]
+        if not inside:
+            raise InfeasibleError(f"cluster {list(g)} has no node in the tree")
+        if len(inside) == 1:
+            forced.append(inside[0])
+        else:
+            a, b = inside
+            twin[a] = b
+            twin[b] = a
+
+    status: dict[int, str] = {}
+    visits: list[int] = []
+
+    def visit(x: int, how: str) -> None:
+        status[x] = how
+        visits.append(x)
+
+    for p in sorted(forced):
+        visit(p, SELECTED)
+
+    parent = t1.parent_map
+    kids = t1.children_map()
+    scan = sorted(nodes)
+    scan_at = 0
+
+    def lowest_open() -> int | None:
+        nonlocal scan_at
+        while scan_at < len(scan) and scan[scan_at] in status:
+            scan_at += 1
+        return scan[scan_at] if scan_at < len(scan) else None
+
+    current = t1.root if t1.root not in status else lowest_open()
+    while current is not None:
+        a1 = current
+        if a1 not in twin:
+            raise AlgorithmInvariantError(f"open node {a1} has no cluster twin")
+        visit(a1, SELECTED)
+        a2 = twin[a1]
+        if a2 in status:
+            raise AlgorithmInvariantError(f"twin {a2} was already visited")
+        visit(a2, BURNED)
+        p = parent[a2]
+        if p is not None and p not in status:
+            current = p
+            continue
+        open_kids = [c for c in kids[a2] if c not in status]
+        current = open_kids[0] if open_kids else lowest_open()
+    return NodeSelection(status=status, visit_order=tuple(visits))
+
+
+def _reference_build_t2(t1: Tree, selection: NodeSelection) -> Tree:
+    """build_t2 before its lazy visit index, copied verbatim."""
+    if t1.root is None:
+        raise DomainError("build_t2 needs a rooted tree")
+    status = selection.status
+    if status.get(t1.root) != SELECTED:
+        raise DomainError("the root of t1 must be a selected node")
+    parent = t1.parent_map
+    order = selection.visit_order
+    next_visited = {order[i]: order[i + 1] for i in range(len(order) - 1)}
+
+    links: list[tuple[int, int]] = []
+    for a in selection.selected_nodes():
+        if a == t1.root:
+            continue
+        climb = [a]  # a, then the burned ancestors passed so far
+        while len(climb) < 4:
+            up = parent[climb[-1]]
+            if up is None:
+                raise AlgorithmInvariantError(f"burned node {climb[-1]} is the root")
+            if status[up] == SELECTED:
+                links.append((a, up))
+                break
+            climb.append(up)
+        else:
+            grand = climb[2]
+            chosen_child = next_visited.get(grand)
+            if status.get(chosen_child) != SELECTED or parent[chosen_child] != grand:
+                raise AlgorithmInvariantError(
+                    f"no selected node within 3 hops above {a}; the selection walk is broken"
+                )
+            links.append((a, chosen_child))
+    return Tree._linked(t1.root, links, t1.depth_map)
+
+
+def _reference_root(t1: Tree, clusters: ClusterPartition) -> int:
+    """solve_2gbst's root choice before the single cluster scan, copied verbatim."""
+    singles = []
+    for g in clusters.clusters:
+        inside = [q for q in g if q in t1.nodes]
+        if len(inside) == 1:
+            singles.append(inside[0])
+    root = min(singles) if singles else min(t1.nodes)
+    return root
+
+
+def _walk_pin_cases():
+    """Seeded Euclidean and random-metric cases of certify size (1-18 points)
+    with every even-offset count of singletons from n % 2 to n, then five
+    cases of 300-1200 points."""
+    rng = random.Random(2029)
+    for n in range(1, 19):
+        for singletons in range(n % 2, n + 1, 2):
+            for kind in ("euclidean", "metric"):
+                for _ in range(3):
+                    if kind == "euclidean":
+                        inst = euclidean_instance(2, n, rng)
+                    else:
+                        inst = random_metric_instance(n, rng)
+                    yield inst, random_clusters(n, rng, singletons=singletons)
+    for n, singletons, kind in (
+        (300, 0, "metric"),
+        (300, 60, "euclidean"),
+        (601, 1, "euclidean"),
+        (900, 300, "euclidean"),
+        (1200, 0, "euclidean"),
+    ):
+        if kind == "euclidean":
+            inst = euclidean_instance(2, n, rng)
+        else:
+            inst = random_metric_instance(n, rng)
+        yield inst, random_clusters(n, rng, singletons=singletons)
+
+
+def _walk_outputs(selection, t2):
+    return (
+        list(selection.status.items()),
+        selection.visit_order,
+        t2.edges,
+        t2.root,
+    )
+
+
+def _fallback_links(t1, t2):
+    """T2 links that do not climb to an ancestor in t1 (the grandparent fallback)."""
+    parent, depth = t1.parent_map, t1.depth_map
+    count = 0
+    for x, p in t2.parent_map.items():
+        if p is None:
+            continue
+        up = x
+        for _ in range(depth[x] - depth[p]):
+            up = parent[up]
+        count += up != p
+    return count
+
+
+def test_walk_matches_the_child_map_walk():
+    cases = list(_walk_pin_cases())
+    assert len(cases) == 5 + 6 * sum(n // 2 + 1 for n in range(1, 19))
+    fallbacks = 0
+    for inst, clusters in cases:
+        result = solve_2gbst(inst, clusters)
+        t1 = build_t1(inst, clusters)
+        t1 = t1.rooted_at(_reference_root(t1, clusters))
+        want = _reference_select(t1, clusters)
+        want_t2 = _reference_build_t2(t1, want)
+        assert result.t1.root == t1.root
+        assert _walk_outputs(result.selection, result.tree) == _walk_outputs(want, want_t2)
+        want_bottleneck = max((inst.distance(u, v) for u, v in t1.edges), default=0.0)
+        assert repr(result.t1_bottleneck) == repr(want_bottleneck)
+
+        sel = select_nodes(t1, clusters)
+        assert _walk_outputs(sel, build_t2(t1, sel)) == _walk_outputs(want, want_t2)
+        fallbacks += _fallback_links(t1, want_t2)
+    assert fallbacks > 0
+
+
+def test_walk_matches_the_child_map_walk_on_random_trees():
+    rng = random.Random(2031)
+    fallbacks = 0
+    for _ in range(400):
+        n = rng.randint(1, 60)
+        tree = random_tree(n, rng)
+        clusters = random_clusters(n, rng, singletons=rng.choice(range(n % 2, n + 1, 2)))
+        t1 = _rooted_for_selection(tree, clusters)
+        want = _reference_select(t1, clusters)
+        want_t2 = _reference_build_t2(t1, want)
+        sel = select_nodes(t1, clusters)
+        assert _walk_outputs(sel, build_t2(t1, sel)) == _walk_outputs(want, want_t2)
+        fallbacks += _fallback_links(t1, want_t2)
+    assert fallbacks > 0
