@@ -137,11 +137,7 @@ def _select(t1: Tree, twin: dict[int, int], forced: list[int]) -> NodeSelection:
             status[a2] = BURNED
             current = parent[a2]
             if current is None or current in status:
-                for current in adj[a2]:
-                    if current not in status:
-                        break
-                else:
-                    current = None
+                current = next((w for w in adj[a2] if w not in status), None)
     return NodeSelection(status=status, visit_order=tuple(status))
 
 
@@ -151,11 +147,10 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
     Each selected node joins the nearest selected node strictly closer to
     the root, found by climbing: parent, grandparent, great-grandparent, and
     finally the twin's sibling that the walk selected right after burning
-    the grandparent, read from an index of the visit order that is built
-    only when that fallback first fires.  Every link climbs, which
-    `Tree._linked` checks in place of a structure check.  DomainError
-    unless the selection fits t1: every node of t1 and no other is selected
-    or burned, the root selected, and the visit order lists each node once.
+    the grandparent.  Every link climbs, which `Tree._linked` checks in
+    place of a structure check.  DomainError unless the selection fits t1:
+    every node of t1 and no other is selected or burned, the root selected,
+    and the visit order lists each node once.
     """
     if t1.root is None:
         raise DomainError("build_t2 needs a rooted tree")
@@ -168,15 +163,16 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
         raise DomainError("the visit order must list every node of t1 exactly once")
     if status[t1.root] != SELECTED:
         raise DomainError("the root of t1 must be a selected node")
-    return _build_t2(t1, status, order)
+    return _build_t2(t1, selection)
 
 
-def _build_t2(t1: Tree, status: dict[int, str], order: tuple[int, ...]) -> Tree:
+def _build_t2(t1: Tree, selection: NodeSelection) -> Tree:
     """build_t2 for a selection that fits t1, unchecked."""
+    status, order = selection.status, selection.visit_order
     parent = t1.parent_map
-    at: dict[int, int] | None = None
+    next_visited = dict(zip(order, order[1:]))
     links: list[tuple[int, int]] = []
-    for a in sorted(v for v, s in status.items() if s == SELECTED):
+    for a in selection.selected_nodes():
         if a == t1.root:
             continue
         climb = [a]  # a, then the burned ancestors passed so far
@@ -190,10 +186,7 @@ def _build_t2(t1: Tree, status: dict[int, str], order: tuple[int, ...]) -> Tree:
             climb.append(up)
         else:
             grand = climb[2]
-            if at is None:
-                at = {v: i for i, v in enumerate(order)}
-            i = at[grand] + 1
-            chosen_child = order[i] if i < len(order) else None
+            chosen_child = next_visited.get(grand)
             if status.get(chosen_child) != SELECTED or parent[chosen_child] != grand:
                 raise AlgorithmInvariantError(
                     f"no selected node within 3 hops above {a}; the selection walk is broken"
@@ -225,7 +218,7 @@ def solve_2gbst(instance: MetricInstance, clusters: ClusterPartition) -> GbstRes
     twin, forced = _pairs(t1.nodes, clusters.clusters)
     t1 = t1.rooted_at(forced[0] if forced else min(t1.nodes))
     selection = _select(t1, twin, forced)
-    t2 = _build_t2(t1, selection.status, selection.visit_order)
+    t2 = _build_t2(t1, selection)
     return GbstResult(
         tree=t2,
         bottleneck=max(instance._lengths(t2.edges), default=0.0),

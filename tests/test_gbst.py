@@ -484,17 +484,6 @@ def _reference_build_t2(t1: Tree, selection: NodeSelection) -> Tree:
     return Tree._linked(t1.root, links, t1.depth_map)
 
 
-def _reference_root(t1: Tree, clusters: ClusterPartition) -> int:
-    """solve_2gbst's root choice before the single cluster scan, copied verbatim."""
-    singles = []
-    for g in clusters.clusters:
-        inside = [q for q in g if q in t1.nodes]
-        if len(inside) == 1:
-            singles.append(inside[0])
-    root = min(singles) if singles else min(t1.nodes)
-    return root
-
-
 def _walk_pin_cases():
     """Seeded Euclidean and random-metric cases of certify size (1-18 points)
     with every even-offset count of singletons from n % 2 to n, then five
@@ -552,8 +541,7 @@ def test_walk_matches_the_child_map_walk():
     fallbacks = 0
     for inst, clusters in cases:
         result = solve_2gbst(inst, clusters)
-        t1 = build_t1(inst, clusters)
-        t1 = t1.rooted_at(_reference_root(t1, clusters))
+        t1 = _rooted_for_selection(build_t1(inst, clusters), clusters)
         want = _reference_select(t1, clusters)
         want_t2 = _reference_build_t2(t1, want)
         assert result.t1.root == t1.root
