@@ -89,12 +89,17 @@ def select_nodes(t1: Tree, clusters: ClusterPartition) -> NodeSelection:
     up front.  Then, starting from the root (or the lowest-id open node when
     the root is taken), each step selects an open node and burns its twin;
     the walk continues at the twin's open parent, else an open child of the
-    twin, else restarts at the lowest-id open node.
+    twin, else restarts at the lowest-id open node.  PartitionError when a
+    node of t1 belongs to no cluster.
     """
     _check_pair_clusters(clusters)
     if t1.root is None:
         raise DomainError("select_nodes needs a rooted tree")
-    return _select(t1, *_pairs(t1.nodes, clusters.clusters))
+    twin, forced = _pairs(t1.nodes, clusters.clusters)
+    stray = t1.nodes.difference(twin, forced)
+    if stray:
+        raise PartitionError(f"t1 node {min(stray)} belongs to no cluster")
+    return _select(t1, twin, forced)
 
 
 def _pairs(
@@ -150,7 +155,9 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
     the grandparent.  Every link climbs, which `Tree._linked` checks in
     place of a structure check.  DomainError unless the selection fits t1:
     every node of t1 and no other is selected or burned, the root selected,
-    and the visit order lists each node once.
+    the visit order lists each node once, and each selected node finds a
+    selected node within three hops above it, as a `select_nodes` walk
+    guarantees.
     """
     if t1.root is None:
         raise DomainError("build_t2 needs a rooted tree")
@@ -163,7 +170,10 @@ def build_t2(t1: Tree, selection: NodeSelection) -> Tree:
         raise DomainError("the visit order must list every node of t1 exactly once")
     if status[t1.root] != SELECTED:
         raise DomainError("the root of t1 must be a selected node")
-    return _build_t2(t1, selection)
+    try:
+        return _build_t2(t1, selection)
+    except AlgorithmInvariantError as err:
+        raise DomainError(f"the selection breaks the three-hop rule: {err}") from err
 
 
 def _build_t2(t1: Tree, selection: NodeSelection) -> Tree:

@@ -4,10 +4,13 @@ every solver on them, the exact oracles' JSON on the tiny ones, and one
 
     PYTHONPATH=src python tests/golden/make_golden.py
 
-Existing files are never rewritten, so adding a case to INSTANCES and running
-the script adds only that case's files.  tests/test_golden.py byte-compares
-every output against a fresh run (the batch CSV with its `millis` column
-blanked, the only part that varies between runs).
+Existing files are never rewritten, so adding a case to INSTANCES_SPEC and
+running the script adds only that case's files.  `golden_runs` is the one
+list of runs that make the outputs, and `replay` byte-compares them against
+fresh runs of any `bst` command (the batch CSV with its `millis` column
+blanked, the only part that varies between runs): tests/test_golden.py
+replays through `cli.main` in-process, tests/golden/replay.py through a
+subprocess.
 """
 
 from __future__ import annotations
@@ -17,6 +20,8 @@ import io
 import json
 import random
 import sys
+import tempfile
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 from bottleneck_trees.cli import main
@@ -212,8 +217,22 @@ def solver_runs(doc: dict) -> list[tuple[str, list[str]]]:
     return runs
 
 
-def output_path(instance: Path, suffix: str) -> Path:
-    return OUTPUTS / f"{instance.stem}.{suffix}.json"
+def golden_runs(inputs: Iterable[Path] | None = None) -> Iterator[tuple[Path, list[str]]]:
+    """(golden output, `bst` arguments without `-o`) of every run of `inputs`.
+
+    `inputs` holds instance documents and BATCH_CONFIG, by default every
+    instance of INSTANCES_SPEC and then BATCH_CONFIG.  An instance's runs are
+    its `solver_runs`; the batch config's one run writes BATCH_OUTPUT.
+    """
+    if inputs is None:
+        inputs = [*(INSTANCES / f"{name}.json" for name in INSTANCES_SPEC), BATCH_CONFIG]
+    for path in inputs:
+        if path == BATCH_CONFIG:
+            yield BATCH_OUTPUT, ["batch", "--config", str(path)]
+            continue
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        for suffix, argv in solver_runs(doc):
+            yield OUTPUTS / f"{path.stem}.{suffix}.json", [*argv, "--input", str(path)]
 
 
 def blank_millis(text: str) -> str:
@@ -227,6 +246,29 @@ def blank_millis(text: str) -> str:
     return out.getvalue()
 
 
+def replay(run: Callable[[list[str]], int], inputs: Iterable[Path] | None = None) -> list[str]:
+    """Names of the golden outputs of `inputs` that `run` does not reproduce.
+
+    `run(argv)` runs `bst` with these arguments and returns its exit status.
+    Each run writes into a temporary directory; an output is reproduced when
+    the run exits 0 and the file it wrote equals the golden file byte for
+    byte, the batch CSV once its `millis` column is blanked.
+    """
+    mismatches = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for golden, argv in golden_runs(inputs):
+            fresh = Path(tmp) / golden.name
+            if run([*argv, "-o", str(fresh)]) != 0 or not fresh.exists():
+                mismatches.append(golden.name)
+                continue
+            got = fresh.read_bytes()
+            if golden == BATCH_OUTPUT:
+                got = blank_millis(got.decode("utf-8")).encode("utf-8")
+            if got != golden.read_bytes():
+                mismatches.append(golden.name)
+    return mismatches
+
+
 def main_script() -> int:
     INSTANCES.mkdir(exist_ok=True)
     OUTPUTS.mkdir(exist_ok=True)
@@ -234,19 +276,15 @@ def main_script() -> int:
         path = INSTANCES / f"{name}.json"
         if not path.exists() and write(path) != 0:
             return 1
-        doc = json.loads(path.read_text(encoding="utf-8"))
-        for suffix, argv in solver_runs(doc):
-            out = output_path(path, suffix)
-            if not out.exists() and main([*argv, "--input", str(path), "-o", str(out)]) != 0:
-                return 1
     if not BATCH_CONFIG.exists():
         _write_document(BATCH_SPEC, BATCH_CONFIG)
-    if not BATCH_OUTPUT.exists():
-        fresh = OUTPUTS / "batch.unblanked.csv"
-        if main(["batch", "--config", str(BATCH_CONFIG), "-o", str(fresh)]) != 0:
+    for golden, argv in golden_runs():
+        if golden.exists():
+            continue
+        if main([*argv, "-o", str(golden)]) != 0:
             return 1
-        BATCH_OUTPUT.write_text(blank_millis(fresh.read_text(encoding="utf-8")), encoding="utf-8")
-        fresh.unlink()
+        if golden == BATCH_OUTPUT:
+            golden.write_text(blank_millis(golden.read_text(encoding="utf-8")), encoding="utf-8")
     return 0
 
 

@@ -393,6 +393,21 @@ def test_build_t2_rejects_a_visit_order_that_is_not_t1s_nodes(order):
         build_t2(t1, NodeSelection(sel.status, order))
 
 
+_PATH5 = Tree(frozenset(range(5)), ((0, 1), (1, 2), (2, 3), (3, 4)), root=0)
+
+
+def test_select_nodes_rejects_a_node_in_no_cluster():
+    clusters = ClusterPartition(k=2, clusters=((0,), (1, 2), (3,)))
+    with pytest.raises(PartitionError, match="t1 node 4 belongs to no cluster"):
+        select_nodes(_PATH5, clusters)
+
+
+def test_build_t2_rejects_a_selection_that_breaks_the_three_hop_rule():
+    status = {0: SELECTED, 4: SELECTED, 1: BURNED, 2: BURNED, 3: BURNED}
+    with pytest.raises(DomainError, match="three-hop rule.*above 4"):
+        build_t2(_PATH5, NodeSelection(status, (0, 4, 1, 2, 3)))
+
+
 def _reference_select(t1: Tree, clusters: ClusterPartition) -> NodeSelection:
     """gbst._select before the single cluster scan, copied verbatim."""
     nodes = t1.nodes

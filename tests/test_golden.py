@@ -2,14 +2,18 @@
 
 The corpus was written once by tests/golden/make_golden.py; a refactor that
 changes any solver's or oracle's JSON, tie-break included, or any batch CSV
-field but `millis`, fails here.  A digest pins the solvers' results the
-same way on a few hundred seeded instances that no golden file holds.
+field but `millis`, fails here.  `make_golden.replay` runs the corpus through
+`cli.main` in-process, and through `python -m bottleneck_trees` on one tiny
+instance and the batch.  A digest pins the solvers' results the same way on
+a few hundred seeded instances that no golden file holds.
 """
 
 import hashlib
 import importlib.util
-import json
 import random
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -30,38 +34,38 @@ make_golden = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_golden)
 
 INSTANCE_PATHS = sorted(make_golden.INSTANCES.glob("*.json"))
-
-
-def _runs(instance: Path):
-    doc = json.loads(instance.read_text(encoding="utf-8"))
-    return [
-        (make_golden.output_path(instance, suffix), argv)
-        for suffix, argv in make_golden.solver_runs(doc)
-    ]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_corpus_is_complete():
     assert {p.stem for p in INSTANCE_PATHS} == set(make_golden.INSTANCES_SPEC)
-    expected = {out.name for p in INSTANCE_PATHS for out, _ in _runs(p)}
-    expected.add(make_golden.BATCH_OUTPUT.name)
+    expected = {golden.name for golden, _ in make_golden.golden_runs()}
     on_disk = {p.name for p in make_golden.OUTPUTS.iterdir()}
     assert on_disk == expected
     assert make_golden.BATCH_CONFIG.exists()
 
 
 @pytest.mark.parametrize("instance", INSTANCE_PATHS, ids=lambda p: p.stem)
-def test_outputs_are_byte_identical(instance, tmp_path):
-    for golden, argv in _runs(instance):
-        fresh = tmp_path / golden.name
-        assert main([*argv, "--input", str(instance), "-o", str(fresh)]) == 0
-        assert fresh.read_bytes() == golden.read_bytes(), golden.name
+def test_outputs_are_byte_identical(instance):
+    assert make_golden.replay(main, [instance]) == []
 
 
-def test_batch_is_byte_identical(tmp_path):
-    fresh = tmp_path / "batch.csv"
-    assert main(["batch", "--config", str(make_golden.BATCH_CONFIG), "-o", str(fresh)]) == 0
-    blanked = make_golden.blank_millis(fresh.read_text(encoding="utf-8"))
-    assert blanked == make_golden.BATCH_OUTPUT.read_text(encoding="utf-8")
+def test_batch_is_byte_identical():
+    assert make_golden.replay(main, [make_golden.BATCH_CONFIG]) == []
+
+
+def test_python_m_entry_point_reproduces_a_tiny_instance_and_the_batch(monkeypatch):
+    # A real argv through __main__, argparse and `-o` file writing, run from
+    # the temporary directory as tests/golden/replay.py runs it, so only an
+    # absolute PYTHONPATH finds the package.
+    monkeypatch.setenv("PYTHONPATH", str(SRC))
+
+    def run(argv):
+        command = [sys.executable, "-m", "bottleneck_trees", *argv]
+        return subprocess.run(command, cwd=tempfile.gettempdir()).returncode
+
+    inputs = [make_golden.INSTANCES / "tiny-euclid-tuples2.json", make_golden.BATCH_CONFIG]
+    assert make_golden.replay(run, inputs) == []
 
 
 def _clustered_line(k, m, rng):
