@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -268,3 +269,51 @@ def test_shared_lists_label_as_the_rescanning_rounds():
         want = _rescanning_konig_labeling(a, b, k)
         got = _konig_labeling(a, b, k)
         assert list(got.labels.items()) == list(want.labels.items())
+
+
+def _matching_size_by_kuhn(adj, n_right) -> int:
+    """The maximum matching's size by one augmenting search per left vertex."""
+    match_r = [-1] * n_right
+
+    def augment(u, seen) -> bool:
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if match_r[v] == -1 or augment(match_r[v], seen):
+                    match_r[v] = u
+                    return True
+        return False
+
+    return sum(augment(u, set()) for u in range(len(adj)))
+
+
+def test_maximum_matching_is_pinned():
+    # 1500 seeded bipartite graphs: unequal sides, empty rows, rows in
+    # shuffled order, densities from empty to full, and many with no perfect
+    # matching; a few 40-60-vertex sparse ones force long augmenting paths.
+    # Every answer is a maximum matching, and the matches themselves are
+    # pinned by one digest.
+    outputs = []
+    imperfect = 0
+    for seed in range(1500):
+        rng = random.Random(seed)
+        big = seed % 50 == 0
+        n_left = rng.randint(40, 60) if big else rng.randint(0, 9)
+        n_right = rng.randint(40, 60) if big else rng.randint(0, 9)
+        density = rng.choice((0.05, 0.1) if big else (0.0, 0.15, 0.3, 0.6, 1.0))
+        adj = []
+        for _ in range(n_left):
+            row = [v for v in range(n_right) if rng.random() < density]
+            if rng.random() < 0.5:
+                rng.shuffle(row)
+            adj.append(row)
+        match = _maximum_matching(adj, n_right)
+        matched = [(u, v) for u, v in enumerate(match) if v != -1]
+        assert all(v in adj[u] for u, v in matched)
+        assert len({v for _, v in matched}) == len(matched)
+        assert len(matched) == _matching_size_by_kuhn(adj, n_right)
+        imperfect += len(matched) < n_left
+        outputs.append(match)
+    assert imperfect > 500
+    digest = hashlib.sha256(repr(outputs).encode()).hexdigest()
+    assert digest == "ecf43e7f894331d2faf5b8c6d5763ca0e2bb8cd9accf5113259bf09d998bb184"
