@@ -158,7 +158,7 @@ def forest_from_tree(
     if tree.nodes != frozenset(range(tuples.point_count)):
         raise PartitionError("tree nodes must be exactly the tuple partition's points")
     trees, bp, lab = _wire(tree, tuples.tuples, tuples.k)
-    return Forest(trees), bp, lab
+    return Forest._from_valid(trees), bp, lab
 
 
 def _wire(tree: Tree, groups, k: int) -> tuple[tuple[Tree, ...], BucketPartition, Labeling]:
@@ -245,25 +245,29 @@ def solve_dbst(instance: MetricInstance, tuples: TuplePartition) -> DbstResult:
     pieces = _pieces(rooted, lambda i: (length[i], balanced[i], -i), balanced.__getitem__)
     cut = len(pieces) > 1
     trees: list[Tree] = []
+    label = [0] * instance.point_count  # point -> index of its tree in `trees`
     bp = None
     for piece in pieces:
         j = len(piece.nodes) // m
         if j == 1:
+            for p in piece.nodes:
+                label[p] = len(trees)
             trees.append(piece)
         else:
             part = tuple(tuple(p for p in g if p in piece.nodes) for g in groups) if cut else groups
-            wired, bp, _ = _wire(_leaf_rooted(piece), part, j)
+            wired, bp, lab = _wire(_leaf_rooted(piece), part, j)
+            for p, c in lab.labels.items():  # the label-c tree is wired[c]
+                label[p] = len(trees) + c
             trees += wired
-    label = {p: c for c, t in enumerate(trees) for p in t.nodes}
     # Every tree holds one point of each tuple, so all or none have edges,
     # and the largest of all their lengths is forest_bottleneck's answer.
     edges = chain.from_iterable(t.edges for t in trees)
     return DbstResult(
-        forest=Forest(tuple(trees)),
+        forest=Forest._from_valid(tuple(trees)),
         bottleneck=max(instance._lengths(edges), default=0.0),
         mst=mst,
         mst_bottleneck=max(length),
-        labels=tuple(map(label.__getitem__, instance.points())),
+        labels=tuple(label),
         shortcut=cut,
         buckets=None if cut else bp,
     )

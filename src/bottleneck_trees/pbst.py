@@ -219,7 +219,7 @@ def balanced_partition(tree: Tree, k: int) -> Forest:
         raise DomainError(f"balanced_partition needs an integer k >= 2, got {k!r}")
     if len(tree.nodes) % k != 0:
         raise PartitionError(f"node count {len(tree.nodes)} is not divisible by k={k}")
-    return Forest(_partition(tree, k))
+    return Forest._from_valid(_partition(tree, k))
 
 
 def _partition(tree: Tree, k: int) -> tuple[Tree, ...]:
@@ -274,7 +274,7 @@ def solve_pbst(instance: MetricInstance, k: int) -> PbstResult:
             trees += _partition(_leaf_rooted(piece), len(piece.nodes) // n)
     edges = chain.from_iterable(t.edges for t in trees)  # n >= 3: none is empty
     return PbstResult(
-        forest=Forest(tuple(trees)),
+        forest=Forest._from_valid(tuple(trees)),
         bottleneck=max(instance._lengths(edges)),
         mst_bottleneck=max(lengths),
     )

@@ -31,7 +31,15 @@ too: `Tree._linked` guards the link rule of GBST's T2 and `partition_two`
 (each node joins a strictly shallower one), `Tree._wired` joins whole
 subtrees and paths for the other partition pieces, DBST's rest on the bucket
 invariant `dbst._wire` checks, and only `pbst._regraft`'s rests are checked.
-Distance reads over a tree are one `_check_ids` pass over its nodes.
+Distance reads over a tree are one `_check_ids` pass over its nodes.  The
+forests that DBST and PBST assemble from the disjoint trees they built are
+wrapped by `Forest._from_valid`; the public `Forest(...)` checks its
+members and their disjointness.
+
+A tree's adjacency, rooting and spans are cached on first use by `_cached`,
+a lock-free `functools.cached_property`: Python 3.8-3.11 take a class-wide
+lock on every first access of a cached property, which a tiny solve pays
+for every tree it builds.
 
 `_merges` is the package's one union-find: `_pieces` (DBST's and PBST's
 cuts of the MST), GBST's T1, the oracles' bounds and `_check_structure`'s
@@ -47,7 +55,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, compress, repeat
 from operator import itemgetter, le
 
@@ -57,6 +64,28 @@ from .metric import MetricInstance, _check_int_ids
 
 def _normalize_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u <= v else (v, u)
+
+
+class _cached:
+    """A lazily computed attribute, cached in the instance's __dict__.
+
+    `functools.cached_property` without the class-wide lock that Python
+    3.8-3.11 take on every first access (3.12 dropped it).  It defines no
+    __set__, so once cached, the instance attribute is read directly.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _merges(triples, items):
@@ -172,7 +201,7 @@ class Tree:
                 raise AlgorithmInvariantError(f"node {x} links to {p}, not a shallower node")
         return cls._wired(nodes, links, root)
 
-    @cached_property
+    @_cached
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         adj: dict[int, list[int]] = {v: [] for v in self.nodes}
         for u, v in self.edges:
@@ -200,7 +229,7 @@ class Tree:
         rooted.__dict__["adjacency"] = self.adjacency
         return rooted
 
-    @cached_property
+    @_cached
     def _rooting(self) -> tuple[dict[int, int | None], dict[int, int], list[int]]:
         """Parents, depths and a DFS preorder from the root, else the lowest node."""
         adj = self.adjacency
@@ -220,7 +249,7 @@ class Tree:
                     stack.append(w)
         return parent, depth, order
 
-    @cached_property
+    @_cached
     def _spans(self) -> tuple[dict[int, int], dict[int, int]]:
         """(size, start): v's subtree is preorder[start[v] : start[v] + size[v]]."""
         parent, _, order = self._rooting
@@ -294,6 +323,13 @@ class Forest:
                 raise DomainError("forest trees must have pairwise disjoint node sets")
             seen |= t.nodes
 
+    @classmethod
+    def _from_valid(cls, trees: tuple[Tree, ...]) -> "Forest":
+        """A forest of trees its builder made pairwise disjoint; nothing is checked."""
+        forest = object.__new__(cls)
+        object.__setattr__(forest, "trees", trees)
+        return forest
+
 
 def _mst_triples(instance: MetricInstance, points: list[int]) -> list[tuple[float, int, int]]:
     """The MST's edges as (distance, u, v) triples with u < v, ascending.
@@ -335,8 +371,8 @@ def _mst_triples(instance: MetricInstance, points: list[int]) -> list[tuple[floa
                 (j for j in range(i, len(best)) if best[j] == d),
                 key=lambda j: _normalize_edge(via[j], rest[j]),
             )
-        y = rest.pop(i)
-        chosen.append((d, *_normalize_edge(via.pop(i), y)))
+        x, y = via.pop(i), rest.pop(i)
+        chosen.append((d, x, y) if x <= y else (d, y, x))
         del best[i]
         del targets[i]
         if not rest:
@@ -499,7 +535,10 @@ def _cut(t: Tree, v: int) -> tuple[Tree, Tree]:
 
 def split_tree_at_edge(tree: Tree, edge: tuple[int, int]) -> tuple[Tree, Tree]:
     """Remove one edge and return the two components (u-side, v-side), unrooted."""
-    u, v = e = _normalize_edge(*edge)
+    try:
+        u, v = e = _normalize_edge(*edge)
+    except TypeError:  # not a pair, or ends that do not compare
+        raise DomainError(f"{edge!r} is not an edge of the tree") from None
     if v not in tree.adjacency.get(u, ()):
         raise DomainError(f"({edge[0]}, {edge[1]}) is not an edge of the tree")
     _check_int_ids(e, "tree edge endpoint")

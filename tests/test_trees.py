@@ -436,6 +436,11 @@ def test_split_tree_at_edge():
     assert right.nodes == frozenset({2, 3, 4})
     with pytest.raises(DomainError):
         split_tree_at_edge(t, (0, 4))
+    # Ends that do not compare, and edges that are not pairs, are no edges
+    # either: each once raised a bare TypeError.
+    for edge in ((0, "1"), (None, 1), ("2", None), (1, 2, 3), (1,), 5):
+        with pytest.raises(DomainError, match="is not an edge of the tree"):
+            split_tree_at_edge(t, edge)
 
 
 def test_pieces_cut_u_side_first_and_keep_an_uncut_tree_whole():
