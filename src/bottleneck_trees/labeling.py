@@ -6,10 +6,8 @@ of Konig; Hall's marriage theorem gives the matching).  Repeating the
 extraction k-1 times labels every element so that each group of either
 partition carries all k labels exactly once.  Both run on one engine: the
 points each pair of groups shares are listed once, and every round pops
-one system of representatives off those lists.  Each round's matching is
-Hopcroft-Karp seeded by its own first phase, a greedy pass that gives each
-group in turn the first group it meets that is still free; on small double
-partitions that pass is often perfect, and the round ends there."""
+one system of representatives off those lists.  A round's matching starts
+with Hopcroft-Karp's first phase, a greedy pass, and often ends there."""
 
 from __future__ import annotations
 
@@ -54,11 +52,9 @@ def _maximum_matching(adj: list[list[int]], n_right: int) -> list[int]:
 
     Deterministic: adjacency lists are scanned in order, phases use plain
     list queues, and augmenting DFS is iterative so deep layered graphs are
-    fine.  Returns match_left (-1 where unmatched).
-
-    The first phase, with every left vertex free, only gives each vertex in
-    turn its first free neighbour, so it runs as that greedy pass; when the
-    pass matches every left vertex, no phase follows.
+    fine.  Returns match_left (-1 where unmatched).  The first phase, with
+    every left vertex free, gives each in turn its first free neighbour: it
+    runs as that greedy pass, which ends the search if it matches them all.
     """
     n_left = len(adj)
     match_l = [-1] * n_left

@@ -31,15 +31,11 @@ too: `Tree._linked` guards the link rule of GBST's T2 and `partition_two`
 (each node joins a strictly shallower one), `Tree._wired` joins whole
 subtrees and paths for the other partition pieces, DBST's rest on the bucket
 invariant `dbst._wire` checks, and only `pbst._regraft`'s rests are checked.
-Distance reads over a tree are one `_check_ids` pass over its nodes.  The
-forests that DBST and PBST assemble from the disjoint trees they built are
-wrapped by `Forest._from_valid`; the public `Forest(...)` checks its
-members and their disjointness.
-
-A tree's adjacency, rooting and spans are cached on first use by `_cached`,
-a lock-free `functools.cached_property`: Python 3.8-3.11 take a class-wide
-lock on every first access of a cached property, which a tiny solve pays
-for every tree it builds.
+Distance reads over a tree are one `_check_ids` pass over its nodes.  DBST
+and PBST wrap the disjoint trees they built in `Forest._from_valid`; the
+public `Forest(...)` checks its members.  A tree's adjacency, rooting and
+spans are cached by `_cached`, which skips the class-wide lock that
+`functools.cached_property` takes on each first access before Python 3.12.
 
 `_merges` is the package's one union-find: `_pieces` (DBST's and PBST's
 cuts of the MST), GBST's T1, the oracles' bounds and `_check_structure`'s
@@ -67,12 +63,8 @@ def _normalize_edge(u: int, v: int) -> tuple[int, int]:
 
 
 class _cached:
-    """A lazily computed attribute, cached in the instance's __dict__.
-
-    `functools.cached_property` without the class-wide lock that Python
-    3.8-3.11 take on every first access (3.12 dropped it).  It defines no
-    __set__, so once cached, the instance attribute is read directly.
-    """
+    """`functools.cached_property` without its lock: with no __set__, the
+    value cached in the instance's __dict__ is read directly from then on."""
 
     def __init__(self, func):
         self.func = func

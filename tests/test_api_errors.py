@@ -17,7 +17,6 @@ from bottleneck_trees import (
     Labeling,
     NodeSelection,
     Tree,
-    TuplePartition,
     balanced_partition,
     bottleneck,
     bucketize,
@@ -129,8 +128,7 @@ def _selection(rng: random.Random, tree: Tree, clusters: ClusterPartition) -> No
 
 
 def test_public_fronts_raise_only_caller_errors():
-    gaps: dict[str, int] = {}
-    calls = 0
+    repeats_scored = 0
     for seed in range(1000):
         rng = random.Random(seed)
         points = rng.randint(1, 9)
@@ -192,7 +190,6 @@ def test_public_fronts_raise_only_caller_errors():
             "exact_bottleneck_tour": lambda: exact_bottleneck_tour(inst, tour),
         }
         for name, front in fronts.items():
-            calls += 1
             try:
                 front()
             except AlgorithmInvariantError as exc:
@@ -200,9 +197,8 @@ def test_public_fronts_raise_only_caller_errors():
             except BottleneckTreeError:
                 continue
             if name == "tour_bottleneck" and len(set(tour)) < len(tour):
-                gaps[name] = gaps.get(name, 0) + 1
-    assert calls == 1000 * len(fronts)
-    # The one known gap: a "tour" that repeats a point is still scored.
-    # A check in tour_bottleneck waits on unchecked scoring inside
-    # exact_bottleneck_tour, which calls it once per candidate tour.
-    assert list(gaps) == ["tour_bottleneck"]
+                repeats_scored += 1
+    # The one known gap: tour_bottleneck still scores a "tour" that repeats
+    # a point.  Its check waits until exact_bottleneck_tour, which calls it
+    # once per candidate tour, scores through an unchecked core.
+    assert repeats_scored > 0
