@@ -154,17 +154,14 @@ def test_public_fronts_raise_only_caller_errors():
         edge = rng.choice(
             [(u, v), (u, v), (u,), (u, v, v), u, *tree.edges[:1], *tree.edges[-1:]]
         )
-        try:
-            sel_tree = tree if tree.root is not None else tree.rooted_at(min(tree.nodes))
-            selection = _selection(rng, sel_tree, pair_clusters)
-        except BottleneckTreeError:
-            selection = NodeSelection({}, ())
+        t1 = tree if tree.root is not None else tree.rooted_at(min(tree.nodes))
+        selection = _selection(rng, t1, pair_clusters)
         fronts = {
             "Forest": lambda: Forest(forest),
             "bucketize": lambda: bucketize(tree, k),
             "forest_from_tree": lambda: forest_from_tree(tree, tuples),
             "select_nodes": lambda: select_nodes(tree, clusters),
-            "build_t2": lambda: build_t2(tree, selection),
+            "build_t2": lambda: build_t2(t1, selection),
             "partition_two": lambda: partition_two(tree, k),
             "partition_three": lambda: partition_three(tree),
             "partition_many": lambda: partition_many(tree, k),
