@@ -52,15 +52,18 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     most 2k-2 hops apart.  The bucket is filled by repeatedly removing the
     deepest leaf of v's subtree (ties to the lowest id).
 
-    Runs in O(n log n) time on n nodes.  The smallest such subtree always
-    hangs from a node none of whose children has k nodes, so only those
-    nodes are keyed in the candidate heap.  Until v is picked, its subtree
-    has lost whole buckets from below only, so each child keeps its size
-    mod k and v's size at the pick is known before the first pick.  Each
-    bucket taken at v leaves v the smallest candidate, so v gives all its
-    size // k buckets at once.  The deepest node left in a subtree is a
-    leaf, so removing the deepest leaf again and again takes v's subtree in
-    (-depth, id) order: one sort per pick.
+    The smallest such subtree always hangs from a node none of whose
+    children has k nodes, so only those nodes are keyed in the candidate
+    heap.  Until v is picked, its subtree has lost whole buckets from below
+    only, so each child keeps its size mod k and v's size at the pick is
+    known before the first pick.  Each bucket taken at v leaves v the
+    smallest candidate, so v gives all its size // k buckets at once.  The
+    deepest node left in a subtree is a leaf, so removing the deepest leaf
+    again and again takes v's subtree in (-depth, id) order: one sort per
+    pick.  So a bucketed node's descendants are bucketed too, and v's
+    subtree is its preorder slice less the bucketed subtrees in it.  A node
+    survives a pick only under an ancestor fewer than k levels up, so it is
+    walked in at most k picks: O(n log n + n min(k, n/k)) time in all.
     """
     if tree.root is None:
         raise DomainError("bucketize needs a rooted tree")
@@ -71,23 +74,20 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
         raise PartitionError(f"node count {count} is not divisible by k={k}")
 
     parent, depth, order = tree._rooting
-    adj = tree.adjacency
-    # One pass over the preorder, children before parents, builds the child
-    # sets, each node's size at its pick, the counts of children whose whole
-    # subtree holds k nodes, and the first candidates.  A node's subtree
-    # holds k nodes exactly when its size at the pick does or a child's does.
-    kids: dict[int, set[int]] = {}
+    full, start = tree._spans
+    # One pass over the preorder, children before parents, counts each
+    # node's size at its pick, the children whose whole subtree holds k
+    # nodes, and the first candidates.  A node's subtree holds k nodes
+    # exactly when its size at the pick does or a child's does.
     size = dict.fromkeys(order, 1)
     big_kids = dict.fromkeys(order, 0)
     cand: list[tuple[int, int]] = []
     for v in reversed(order):
-        kids[v] = below = set(adj[v])
         s = size[v]
         if s >= k and not big_kids[v]:
             cand.append((s, v))
         p = parent[v]
         if p is not None:
-            below.discard(p)
             size[p] += s % k
             if s >= k or big_kids[v]:
                 big_kids[p] += 1
@@ -98,22 +98,23 @@ def bucketize(tree: Tree, k: int) -> BucketPartition:
     bucket_index: dict[int, int] = {}
     while cand:
         _, v = heappop(cand)
-        # Snapshot v's current subtree of size[v] nodes, deepest first.
+        # Snapshot v's current subtree of size[v] nodes, deepest first: v's
+        # slice of the preorder, stepping over each bucketed subtree whole.
         snap: list[tuple[int, int]] = []
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            stack.extend(kids[x])
-            snap.append((-depth[x], x))
+        i, end = start[v], start[v] + full[v]
+        while i < end:
+            x = order[i]
+            if x in bucket_index:
+                i += full[x]
+            else:
+                snap.append((-depth[x], x))
+                i += 1
         snap.sort()
         taken = [x for _, x in snap[: size[v] - size[v] % k]]
         for i in range(0, len(taken), k):
             bucket = tuple(taken[i : i + k])
             for x in bucket:
                 bucket_index[x] = len(buckets)
-                p = parent[x]
-                if p is not None:
-                    kids[p].remove(x)
             buckets.append(bucket)
             reps.append(v)
         # v fell below k: every ancestor that now has no child of k nodes

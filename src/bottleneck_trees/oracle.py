@@ -19,7 +19,7 @@ from functools import cache
 from itertools import permutations, product
 from math import factorial, inf
 
-from .errors import DomainError, OracleSizeError, PartitionError
+from .errors import AlgorithmInvariantError, DomainError, OracleSizeError, PartitionError
 from .gbst import _cover
 from .metric import ClusterPartition, MetricInstance, TuplePartition, _is_int
 from .tours import tour_bottleneck
@@ -219,7 +219,7 @@ def exact_pbst(instance: MetricInstance, k: int) -> tuple[Forest, float]:
     lo, hi = bisect_left(candidates, _multiple_bound(table, n)), len(candidates) - 1
     best_groups = feasible(candidates[hi])
     if best_groups is None:
-        raise DomainError("the complete metric graph must always be partitionable")
+        raise AlgorithmInvariantError("the complete metric graph must always be partitionable")
     while lo < hi:
         mid = (lo + hi) // 2
         attempt = feasible(candidates[mid])

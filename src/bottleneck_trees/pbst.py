@@ -147,7 +147,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
         raise PartitionError(f"node count {total} is not divisible by 3")
     n = total // 3
     t = _leaf_rooted(tree)
-    size = t.subtree_sizes()
+    size = t._spans[0]
     v = min((s, x) for x, s in size.items() if s >= n)[1]
     if size[v] == n:
         r_tree, rest = _cut(t, v)
@@ -155,7 +155,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
 
     branches = _branches(t, v)
     r_tree, tilde, keep, jj = _peel(t, v, branches, n)
-    size2 = tilde.subtree_sizes()
+    size2 = tilde._spans[0]
     parent2 = tilde.parent_map
     w = v
     while size2[w] < n:
@@ -164,11 +164,8 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
         return (r_tree, *_cut(tilde, w))
 
     if w != v:  # size2[v] < n: peel G off w's children, v's branch first
-        branch = v
-        while parent2[branch] != w:
-            branch = parent2[branch]
         branches_w = _branches(tilde, w)
-        branches_w.sort(key=lambda b: b[0] != branch)
+        branches_w.sort(key=lambda b: v not in b[1])
         g_tree, b_tree, _, j2 = _peel(tilde, w, branches_w, n)
         if j2 == 0:
             raise AlgorithmInvariantError("v's branch alone reached n below w")

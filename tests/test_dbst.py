@@ -276,8 +276,37 @@ def _relabelled(tree, rng):
     return Tree(frozenset(ids), tuple((name[u], name[v]) for u, v in tree.edges))
 
 
-@pytest.mark.parametrize("shape", ["random", "caterpillar"])
+def _wide_node(k):
+    # Node 0 holds 2k^2 - 2 leaves under k ancestors, each also carrying a
+    # side chain of k - 1 nodes; a chain under the top pads the count to a
+    # multiple of k.  Rooted at the top, every ancestor's pick walks back
+    # over the leaves bucketed below it.
+    nxt = 2 * k * k - 1
+    edges = [(0, leaf) for leaf in range(1, nxt)]
+
+    def chain(u, length):
+        nonlocal nxt
+        for _ in range(length):
+            edges.append((u, nxt))
+            u, nxt = nxt, nxt + 1
+
+    top = 0
+    for _ in range(k):
+        edges.append((top, nxt))
+        top = nxt
+        nxt += 1
+        chain(top, k - 1)
+    chain(top, -nxt % k)
+    return Tree(frozenset(range(nxt)), tuple(edges), root=top)
+
+
+@pytest.mark.parametrize("shape", ["random", "caterpillar", "wide-node"])
 def test_bucketize_matches_debt_carry_on_large_trees(shape):
+    if shape == "wide-node":  # 300 and 30,000 nodes
+        for k in (10, 100):
+            rooted = _wide_node(k)
+            assert bucketize(rooted, k) == _debt_bucketize(rooted, k)
+        return
     # 10^4 nodes, beyond the quadratic reference, and k up to n/2.
     n = 10_000
     rng = random.Random(f"debt-{shape}")
@@ -632,8 +661,7 @@ def test_slot_balance_reads_as_the_subtree_sets(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_solve_counts_subtree_sizes_once(monkeypatch, k):
     # When the MST is not cut, the balance search counts the rooted MST's
-    # subtree sizes once, and bucketize, which counts its own sizes at the
-    # pick, counts no others.
+    # subtree sizes once, and bucketize reads the same cached spans.
     counted = []
     spans = Tree._spans.func
 
