@@ -57,14 +57,29 @@ def _hang(t: Tree, x: int, branch) -> Tree:
 
 def _regraft(t: Tree, nodes, keep: Tree | None, links=()) -> Tree:
     """The rest of t on `nodes`: its edges inside them in order, those inside
-    `keep` swapped for keep's own, then `links`.  Whether these form a tree
-    depends on where the peel and its split fell, not on one local rule, so
-    these rests alone go through the checked `Tree` constructor."""
+    `keep` swapped for keep's own, then `links`.  It is a tree in both uses.
+    After `_peel` at x, `nodes` are t without the j+1 child subtrees of x it
+    took from, a tree through x, joined at x to `keep`, which holds x; the
+    t-edges inside keep's nodes are exactly the ones dropped.  In
+    partition_three's last case, `nodes` are t above v, a tree that holds
+    v's parent, and the chained branches of v, each whole or as `keep`
+    (anchored at the branch head); `links` joins each head to the next, the
+    last to v's parent.
+    """
     edges = _edges_within(t.edges, nodes)
     if keep is not None:
         inner = keep.nodes
         edges = (*(e for e in edges if not (e[0] in inner and e[1] in inner)), *keep.edges)
-    return Tree(frozenset(nodes), (*edges, *links), t.root)
+    return Tree._wired(nodes, (*edges, *links), t.root)
+
+
+def _prefix(branches, acc: int, n: int) -> tuple[int, int]:
+    """(j, acc + their nodes) for the longest branches[:j] that keeps it below n."""
+    j = 0
+    while acc + len(branches[j][1]) < n:
+        acc += len(branches[j][1])
+        j += 1
+    return j, acc
 
 
 def _peel(t: Tree, x: int, branches, n: int) -> tuple[Tree, Tree, Tree, int]:
@@ -78,10 +93,7 @@ def _peel(t: Tree, x: int, branches, n: int) -> tuple[Tree, Tree, Tree, int]:
     other part of that split, `keep`, holds x and is regrafted into the rest
     of t in place of the edges it replaces.  Returns (piece, rest, keep, j).
     """
-    acc = j = 0
-    while acc + len(branches[j][1]) < n:
-        acc += len(branches[j][1])
-        j += 1
+    j, acc = _prefix(branches, 0, n)
     uj = branches[j][0]
     hung = _hang(t, x, branches[j])
     keep, give = partition_two(hung, len(hung.nodes) - (n - acc))
@@ -175,11 +187,7 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
     # v's later child subtrees are untouched by the peel, so t's branches
     # are tilde's too.
     later = branches[jj + 1 :]
-    acc = len(keep.nodes)
-    ll = 0
-    while acc + len(later[ll][1]) < n:
-        acc += len(later[ll][1])
-        ll += 1
+    ll, acc = _prefix(later, len(keep.nodes), n)
     n2 = n - acc + 1
     if n2 == len(later[ll][1]) + 1:
         taken, chained, b_keep = later[: ll + 1], later[ll + 1 :], None
@@ -193,9 +201,9 @@ def partition_three(tree: Tree) -> tuple[Tree, Tree, Tree]:
     for u, below, inner in taken:
         g_nodes |= below
         g_edges += (*inner, (v, u))
-    chain = [u for u, _, _ in chained] + [parent2[v]]
+    heads = [u for u, _, _ in chained] + [parent2[v]]
     g_tree = Tree._wired(g_nodes, g_edges, v)
-    return r_tree, g_tree, _regraft(tilde, tilde.nodes - g_nodes, b_keep, zip(chain, chain[1:]))
+    return r_tree, g_tree, _regraft(tilde, tilde.nodes - g_nodes, b_keep, zip(heads, heads[1:]))
 
 
 def partition_many(tree: Tree, k: int) -> Forest:

@@ -28,9 +28,9 @@ and `split_tree_at_edge`, the pieces of `_pieces`) are built by
 `Tree._from_valid` without checks, and a `rooted_at` copy shares its
 source's adjacency.  Trees wired from new edges skip the structure check
 too: `Tree._linked` guards the link rule of GBST's T2 and `partition_two`
-(each node joins a strictly shallower one), `Tree._wired` joins whole
-subtrees and paths for the other partition pieces, DBST's rest on the bucket
-invariant `dbst._wire` checks, and only `pbst._regraft`'s rests are checked.
+(each node joins a strictly shallower one), and `Tree._wired` joins whole
+subtrees, paths and `partition_two` trees for the other partition pieces
+and rests, and DBST's rest on the bucket invariant `dbst._wire` checks.
 Distance reads over a tree are one `_check_ids` pass over its nodes.  DBST
 and PBST wrap the disjoint trees they built in `Forest._from_valid`; the
 public `Forest(...)` checks its members.  A tree's adjacency, rooting and

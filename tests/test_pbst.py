@@ -720,24 +720,48 @@ def _shaped_tree(shape, n, rng):
     return Tree(frozenset(labels), tuple((labels[u], labels[v]) for u, v in edges), root=root)
 
 
-def test_partition_outputs_are_pinned():
-    # Exact nodes, edge order and roots of the 2- and 3-way partitions on
-    # seeded trees that reach every branch of partition_three, so any
-    # rewrite of the cut must return byte-identical pieces.
+def _pinned_cases():
+    """200 seeded shaped trees that reach every branch of partition_three,
+    each with the partition_two sizes the pin splits it at."""
     rng = random.Random(10)
     shapes = ("recursive", "path", "star", "caterpillar", "broom")
-    outputs = []
     for i in range(200):
         n = 3 * rng.randint(1, 30)
         tree = _shaped_tree(shapes[i % 5], n, rng)
+        yield tree, sorted({1, n // 3, n // 2, rng.randint(1, n - 1), n - 1}) if n > 3 else []
+
+
+def test_partition_outputs_are_pinned():
+    # Exact nodes, edge order and roots of the 2- and 3-way partitions, so
+    # any rewrite of the cut must return byte-identical pieces.
+    outputs = []
+    for tree, sizes in _pinned_cases():
         outputs.extend(partition_three(tree))
-        if n > 3:
-            for size_r in sorted({1, n // 3, n // 2, rng.randint(1, n - 1), n - 1}):
-                outputs.extend(partition_two(tree, size_r))
+        for size_r in sizes:
+            outputs.extend(partition_two(tree, size_r))
     digest = hashlib.sha256(
         repr([(sorted(t.nodes), t.edges, t.root) for t in outputs]).encode()
     ).hexdigest()
     assert digest == "39f061274d42e32adac5cd213a16efe3223c8633e6aefa47c40828799dca7eb5"
+
+
+def test_regrafted_rests_pass_the_public_constructor(monkeypatch):
+    # The rests are wired unchecked; on the pin's trees each one, after a
+    # peel or with chained branches, is what the checked constructor builds.
+    rests = []
+    regraft = pbst._regraft
+
+    def recorded(t, nodes, keep, links=()):
+        links = tuple(links)
+        rests.append((regraft(t, nodes, keep, links), bool(links)))
+        return rests[-1][0]
+
+    monkeypatch.setattr(pbst, "_regraft", recorded)
+    for tree, _ in _pinned_cases():
+        partition_three(tree)
+    assert {chained for _, chained in rests} == {False, True}
+    for rest, _ in rests:
+        assert Tree(rest.nodes, rest.edges, rest.root) == rest
 
 
 def test_partition_three_on_a_wide_star():

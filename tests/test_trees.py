@@ -1179,9 +1179,9 @@ def test_faulty_partition_two_links_raise(link_fault, k):
 
 
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
-def test_pbst_checks_only_regrafted_rests(structure_checks, monkeypatch, k):
-    # Every piece is a tree by how it is built; only the rests that
-    # partition_three regrafts are checked for structure.
+def test_pbst_checks_no_tree_it_builds(structure_checks, monkeypatch, k):
+    # Every piece is a tree by how it is built, and so is every rest that
+    # partition_three regrafts: none is checked for structure.
     rests = []
     regraft = pbst._regraft
 
@@ -1193,7 +1193,7 @@ def test_pbst_checks_only_regrafted_rests(structure_checks, monkeypatch, k):
     monkeypatch.setattr(pbst, "_regraft", recorded)
     result = solve_pbst(euclidean_instance(2, 240, random.Random(30 + k)), k)
     assert len(result.forest.trees) == k
-    assert structure_checks == rests
+    assert structure_checks == []
     assert bool(rests) == (k == 3)
 
 
